@@ -90,8 +90,7 @@ let write_snapshots path =
    BENCH_history.jsonl: run metadata (timestamp, mode), the experiment's
    wall clock, and its key counters and latency percentiles.  The file
    accumulates across runs, so regressions show up as series breaks; the
-   [diff] mode compares a fresh run against the committed
-   BENCH_telemetry.json instead. *)
+   [diff] mode compares a fresh run against its last "full" records. *)
 
 let history_file = "BENCH_history.jsonl"
 
@@ -1856,13 +1855,13 @@ let write_maintenance_snapshot path (off, on, events) =
         (String.concat ",\n    " (List.map on_json on))
         (String.concat ",\n    " (List.map off_json off)))
 
-(* -- diff: bench-regression gate vs the committed snapshot ---------------- *)
+(* -- diff: bench-regression gate vs the committed history ----------------- *)
 
 (* [bench/main.exe diff] re-runs the deterministic experiments — E-T1,
    E-CS1 and E-S1, in the same order as the full harness so shared-state
    cache warmth matches — under fresh sinks and compares their span
-   counts, counters and histogram observation counts against the
-   committed BENCH_telemetry.json.  On the fixed dataset those numbers
+   counts and counters against the last full run recorded in the
+   committed BENCH_history.jsonl.  On the fixed dataset those numbers
    must reproduce exactly, so drift beyond 10% fails the gate (exit 1):
    a probe that silently vanished, a plan that stopped pruning, a cache
    that stopped hitting.  Wall-clock percentiles are reported for
@@ -1890,67 +1889,60 @@ let samples_of_metrics experiment (m : Telemetry.Metrics.t) =
           value = q.Telemetry.Memory.q50; kind = Wall })
       m.Telemetry.Metrics.quantiles
 
+(* The baseline is the span count and counters of each gated
+   experiment's last "full" record in the tracked history file.  [diff]
+   runs append "diff" records, so a diff run never becomes its own
+   baseline. *)
 let baseline_samples path =
-  let content =
-    let ic = try open_in_bin path with Sys_error e -> die "%s" e in
+  let ic = try open_in_bin path with Sys_error e -> die "%s" e in
+  let lines =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () -> String.split_on_char '\n' (In_channel.input_all ic))
   in
-  let j =
-    match Microjson.parse content with
-    | Ok j -> j
-    | Error e -> die "%s does not parse: %s" path e
-  in
-  let experiments =
-    match j with
-    | Microjson.Obj members -> members
-    | _ -> die "%s: expected a top-level object" path
-  in
+  let last = Hashtbl.create 3 in
+  List.iter
+    (fun line ->
+      if String.trim line <> "" then
+        let j =
+          match Microjson.parse line with
+          | Ok j -> j
+          | Error e -> die "%s: a record does not parse: %s" path e
+        in
+        match (Microjson.member "mode" j, Microjson.member "experiment" j) with
+        | Some (Microjson.Str "full"), Some (Microjson.Str experiment)
+          when List.mem experiment diff_experiments ->
+            Hashtbl.replace last experiment j
+        | _ -> ())
+    lines;
   let open Bench_diff in
   List.concat_map
-    (fun (experiment, metrics) ->
-      if not (List.mem experiment diff_experiments) then []
-      else
-        let num = function Microjson.Num v -> Some v | _ -> None in
-        let spans =
-          match Option.bind (Microjson.member "spans" metrics) num with
-          | Some v -> [ { experiment; metric = "spans"; value = v; kind = Count } ]
-          | None -> []
-        in
-        let counters =
-          match Microjson.member "counters" metrics with
-          | Some (Microjson.Obj cs) ->
-              List.filter_map
-                (fun (n, v) ->
-                  Option.map
-                    (fun v ->
-                      { experiment; metric = n; value = v; kind = Count })
-                    (num v))
-                cs
-          | _ -> []
-        in
-        let histograms =
-          match Microjson.member "histograms" metrics with
-          | Some (Microjson.Obj hs) ->
-              List.concat_map
-                (fun (n, h) ->
-                  let field metric key kind =
-                    Option.map
-                      (fun v -> { experiment; metric; value = v; kind })
-                      (Option.bind (Microjson.member key h) num)
-                  in
-                  List.filter_map Fun.id
-                    [ field (n ^ ".n") "n" Count;
-                      field (n ^ ".p50") "p50" Wall ])
-                hs
-          | _ -> []
-        in
-        spans @ counters @ histograms)
-    experiments
+    (fun experiment ->
+      let record =
+        match Hashtbl.find_opt last experiment with
+        | Some j -> j
+        | None -> die "%s: no full-run record of %s" path experiment
+      in
+      let count metric = function
+        | Microjson.Num value ->
+            Some { experiment; metric; value; kind = Count }
+        | _ -> None
+      in
+      let spans =
+        Option.bind (Microjson.member "spans" record) (count "spans")
+        |> Option.to_list
+      in
+      let counters =
+        match Microjson.member "counters" record with
+        | Some (Microjson.Obj cs) ->
+            List.filter_map (fun (n, v) -> count n v) cs
+        | _ -> []
+      in
+      spans @ counters)
+    diff_experiments
 
 let run_diff ~strict_wall () =
-  let baseline = baseline_samples "BENCH_telemetry.json" in
+  let baseline = baseline_samples history_file in
   with_telemetry "E-T1" experiment_table1;
   with_telemetry "E-CS1" experiment_counts;
   let simplification = with_telemetry "E-S1" simplification_outcomes in
@@ -1962,7 +1954,7 @@ let run_diff ~strict_wall () =
   in
   let config = { Bench_diff.default_config with Bench_diff.gate_wall = strict_wall } in
   let findings = Bench_diff.diff ~config ~baseline current in
-  section "bench diff: fresh run vs committed BENCH_telemetry.json";
+  section "bench diff: fresh run vs the last full run in BENCH_history.jsonl";
   print_string (Bench_diff.to_text findings);
   append_history ~mode:"diff";
   if Bench_diff.gate_failures findings <> [] then exit 1

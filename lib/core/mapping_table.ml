@@ -202,74 +202,6 @@ let prefill ?threshold session ~left ~right =
     suggestions;
   Ok (List.rev !added)
 
-(* Modification propagation into a live editing session: a source
-   evolution must not leave the table referencing objects that no longer
-   exist.  Renames rewrite the stored queries in place; drops remove the
-   entries that consumed the object. *)
-let repair_evolution session ~source ~renames ~dropped =
-  let rename_all e = List.fold_left
-      (fun e (from_, to_) -> Ast.rename_scheme ~from_ ~to_ e)
-      e renames
-  in
-  let refs_dropped e =
-    let refs = Ast.schemes e.forward in
-    List.exists (fun o -> Scheme.Set.mem o refs) dropped
-  in
-  let touched e =
-    let refs = Ast.schemes e.forward in
-    List.exists (fun (o, _) -> Scheme.Set.mem o refs) renames
-  in
-  let removed =
-    List.filter
-      (fun e -> e.source_schema = source && refs_dropped e)
-      session.items
-  in
-  List.iter (fun e -> Hashtbl.remove session.user_reverses e.entry_id) removed;
-  let rewritten = ref [] in
-  session.items <-
-    List.filter_map
-      (fun e ->
-        if e.source_schema <> source then Some e
-        else if refs_dropped e then None
-        else if not (touched e) then Some e
-        else begin
-          let forward = rename_all e.forward in
-          let typed =
-            match source_schema session source with
-            | Ok sch -> type_checks sch forward
-            | Error _ -> e.typed
-          in
-          let e' =
-            {
-              e with
-              forward;
-              typed;
-              reverse = derive_reverse ~target:e.target ~forward;
-            }
-          in
-          (match Hashtbl.find_opt session.user_reverses e.entry_id with
-          | Some { ur_source; ur_query } ->
-              let ur_source =
-                match List.assoc_opt ur_source renames with
-                | Some renamed -> renamed
-                | None -> ur_source
-              in
-              Hashtbl.replace session.user_reverses e.entry_id
-                { ur_source; ur_query = rename_all ur_query }
-          | None -> ());
-          rewritten := e' :: !rewritten;
-          Some e'
-        end)
-      session.items;
-  (List.rev !rewritten, removed)
-
-let prune_source session source =
-  let removed = List.filter (fun e -> e.source_schema = source) session.items in
-  List.iter (fun e -> Hashtbl.remove session.user_reverses e.entry_id) removed;
-  session.items <-
-    List.filter (fun e -> e.source_schema <> source) session.items;
-  removed
-
 let side_of session source =
   let mappings =
     List.filter_map

@@ -62,25 +62,6 @@ val prefill :
     suggested correspondence (both sides), targeting fresh ["U" ^ name]
     objects.  Returns the entries added. *)
 
-val repair_evolution :
-  session ->
-  source:string ->
-  renames:(Scheme.t * Scheme.t) list ->
-  dropped:Scheme.t list ->
-  entry list * entry list
-(** Propagates a live evolution of [source] into the editing session
-    (the mapping-table counterpart of the pathway repair in
-    [Automed_evolution.Evolution]): forward queries — and user-supplied
-    reverse queries — referencing a renamed source object are rewritten
-    in place (re-deriving the reverse and re-running the type check);
-    entries whose forward query consumes a dropped object are removed.
-    Entries of other sources are untouched.  Returns
-    [(rewritten, removed)]. *)
-
-val prune_source : session -> string -> entry list
-(** Removes every entry of an evolved-away source, returning them.
-    The session keeps its other sources' entries. *)
-
 val finish : session -> (Intersection.spec, string) result
 (** Freezes the table.  Fails when fewer than two sources have mappings
     (use {!finish_single} for an ad-hoc single-schema extension). *)

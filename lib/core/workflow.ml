@@ -155,37 +155,24 @@ let integrate_adhoc ?(drop_redundant = true) ?description t ~name side =
   let* outcome = Intersection.extend_single t.repo ~name side in
   record ?description t outcome ~drop_redundant
 
-let run t q = Processor.run t.proc ~schema:(global_name t) q
-
-let run_query t text =
+(* parses [text] and hands the query to a processor entry point posed
+   against the current global schema *)
+let on_global t text f =
+  let schema = global_name t in
   match Parser.parse text with
-  | Error e -> Error (Processor.error ~schema:(global_name t) e)
-  | Ok q -> run t q
+  | Error e -> Error (Processor.error ~schema e)
+  | Ok q -> f t.proc ~schema q
 
-let run_degraded t q = Processor.run_degraded t.proc ~schema:(global_name t) q
+let run_query t text = on_global t text (Processor.run ?optimize:None)
 
 let run_query_degraded t text =
-  match Parser.parse text with
-  | Error e -> Error (Processor.error ~schema:(global_name t) e)
-  | Ok q -> run_degraded t q
-
-let run_provenance ?key t q =
-  Processor.run_provenance ?key t.proc ~schema:(global_name t) q
+  on_global t text (Processor.run_degraded ?optimize:None)
 
 let run_query_provenance ?key t text =
-  match Parser.parse text with
-  | Error e -> Error (Processor.error ~schema:(global_name t) e)
-  | Ok q -> run_provenance ?key t q
-
-let run_degraded_provenance ?key t q =
-  Processor.run_degraded_provenance ?key t.proc ~schema:(global_name t) q
-
-let explain t q = Processor.explain_plan t.proc ~schema:(global_name t) q
+  on_global t text (Processor.run_provenance ?optimize:None ?key)
 
 let explain_query t text =
-  match Parser.parse text with
-  | Error e -> Error (Processor.error ~schema:(global_name t) e)
-  | Ok q -> explain t q
+  on_global t text (Processor.explain_plan ?optimize:None)
 
 let answerable t q = Processor.answerable t.proc ~schema:(global_name t) q
 

@@ -130,40 +130,21 @@ val integrate_adhoc :
 val run_query : t -> string -> (Value.t, Processor.error) result
 (** Step 6: parse and evaluate IQL text over the current global schema. *)
 
-val run : t -> Ast.expr -> (Value.t, Processor.error) result
-
-val run_degraded :
-  t -> Ast.expr -> (Value.t * Processor.completeness, Processor.error) result
+val run_query_degraded :
+  t -> string -> (Value.t * Processor.completeness, Processor.error) result
 (** {!Processor.run_degraded} over the current global schema: sources
     that exhaust their resilience policy degrade the answer (and are
     reported) instead of failing it. *)
 
-val run_query_degraded :
-  t -> string -> (Value.t * Processor.completeness, Processor.error) result
-
-val run_provenance :
-  ?key:string -> t -> Ast.expr -> (Processor.annotated, Processor.error) result
+val run_query_provenance :
+  ?key:string -> t -> string -> (Processor.annotated, Processor.error) result
 (** {!Processor.run_provenance} over the current global schema: the
     bit-identical answer plus per-tuple lineage (cited source extents,
     pathway hops with simplification certificates, telemetry span ids)
     and a keyed tamper-evidence digest per tuple. *)
 
-val run_query_provenance :
-  ?key:string -> t -> string -> (Processor.annotated, Processor.error) result
-
-val run_degraded_provenance :
-  ?key:string ->
-  t ->
-  Ast.expr ->
-  (Processor.annotated * Processor.completeness, Processor.error) result
-(** Degraded run with lineage: the completeness report's
-    [source_impact] counts, per skipped source, the answer tuples it
-    could have affected. *)
-
-val explain : t -> Ast.expr -> (Processor.explain, Processor.error) result
-(** {!Processor.explain_plan} over the current global schema. *)
-
 val explain_query : t -> string -> (Processor.explain, Processor.error) result
+(** {!Processor.explain_plan} over the current global schema. *)
 
 val answerable : t -> Ast.expr -> bool
 

@@ -1,8 +1,8 @@
 (** Bench-history regression detection.
 
     Compares the metric samples of a fresh bench run against a committed
-    snapshot (BENCH_telemetry.json) and classifies every metric's drift
-    against percentage thresholds.  Deterministic metrics (counters,
+    baseline (the last full run in BENCH_history.jsonl) and classifies
+    every metric's drift against percentage thresholds.  Deterministic metrics (counters,
     span counts, histogram observation counts) are {e gated}: any drift
     beyond tolerance fails the CI bench-regression job, because on a
     fixed dataset they must reproduce exactly.  Wall-clock metrics

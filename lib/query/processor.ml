@@ -88,7 +88,7 @@ type t = {
   simplify : bool;
   cache : (Value.Bag.t * SS.t) EH.t;
       (* cached bag plus the sources whose data it incorporates *)
-  pcache : (Peval.entry list * Lineage.t * SS.t) EH.t;
+  pcache : ((Peval.entry list * Lineage.t) * SS.t) EH.t;
       (* the annotated twin of [cache], for provenance runs *)
   pinfo : (Transform.pathway, pathway_info) Hashtbl.t;
   mutable visiting : string list; (* schemas on the derivation stack *)
@@ -116,10 +116,6 @@ let create ?resilience ?(simplify = true) repo =
 
 let repository t = t.repo
 let resilience t = t.resilience
-let simplify_enabled t = t.simplify
-
-let cache_stats t =
-  (EH.length t.cache, EH.length t.pcache, Hashtbl.length t.pinfo)
 
 let invalidate t =
   EH.reset t.cache;
@@ -127,6 +123,15 @@ let invalidate t =
   Hashtbl.reset t.pinfo;
   t.visiting <- [];
   t.frames <- []
+
+(* drops the entries of an extent table that cite [source]; their number *)
+let drop_source cache source =
+  let before = EH.length cache in
+  EH.filter_map_inplace
+    (fun (schema, _) ((_, srcs) as entry) ->
+      if schema = source || SS.mem source srcs then None else Some entry)
+    cache;
+  before - EH.length cache
 
 (* Targeted churn invalidation: exactly the entries tainted by [source]
    are dropped from all three caches — extent bags and provenance twins
@@ -137,33 +142,20 @@ let invalidate t =
    the emitted counters let tests pin both directions (no stale hits,
    no over-invalidation). *)
 let invalidate_source t source =
-  let doomed =
-    EH.fold
-      (fun ((schema, _) as key) (_, srcs) acc ->
-        if schema = source || SS.mem source srcs then key :: acc else acc)
-      t.cache []
-  in
-  List.iter (EH.remove t.cache) doomed;
-  let doomed_p =
-    EH.fold
-      (fun ((schema, _) as key) (_, _, srcs) acc ->
-        if schema = source || SS.mem source srcs then key :: acc else acc)
-      t.pcache []
-  in
-  List.iter (EH.remove t.pcache) doomed_p;
-  let doomed_i =
-    Hashtbl.fold
-      (fun (p : Transform.pathway) _ acc ->
-        if p.from_schema = source || p.to_schema = source then p :: acc
-        else acc)
-      t.pinfo []
-  in
-  List.iter (Hashtbl.remove t.pinfo) doomed_i;
+  let extents = drop_source t.cache source in
+  let provenance = drop_source t.pcache source in
+  let analyses = Hashtbl.length t.pinfo in
+  Hashtbl.filter_map_inplace
+    (fun (p : Transform.pathway) info ->
+      if p.from_schema = source || p.to_schema = source then None
+      else Some info)
+    t.pinfo;
   if Telemetry.active () then begin
-    Telemetry.count ~by:(List.length doomed) "processor.invalidated.extents";
-    Telemetry.count ~by:(List.length doomed_p)
-      "processor.invalidated.provenance";
-    Telemetry.count ~by:(List.length doomed_i) "processor.invalidated.pinfo"
+    Telemetry.count ~by:extents "processor.invalidated.extents";
+    Telemetry.count ~by:provenance "processor.invalidated.provenance";
+    Telemetry.count
+      ~by:(analyses - Hashtbl.length t.pinfo)
+      "processor.invalidated.pinfo"
   end
 
 (* -- provenance frames --------------------------------------------------- *)
@@ -330,49 +322,11 @@ let pathway_info t (p : Transform.pathway) =
       Hashtbl.replace t.pinfo p info;
       info
 
-let rec extent_exn t ~schema o =
-  match EH.find_opt t.cache (schema, o) with
-  | Some (bag, srcs) ->
-      Telemetry.count "processor.extent.cache_hits";
-      note_sources t srcs;
-      bag
-  | None ->
-      Telemetry.count "processor.extent.cache_misses";
-      if List.mem schema t.visiting then
-        err "cycle in pathway network at schema %s" schema;
-      let sch =
-        match Repository.schema t.repo schema with
-        | Some s -> s
-        | None -> err "no schema %s" schema
-      in
-      if not (Schema.mem o sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string o);
-      t.visiting <- schema :: t.visiting;
-      let frame = push_frame t in
-      let finish () =
-        t.visiting <- List.tl t.visiting;
-        pop_frame t frame
-      in
-      let bag =
-        Telemetry.with_span "processor.extent"
-          ~attrs:(fun () ->
-            [ ("schema", schema); ("object", Scheme.to_string o) ])
-          (fun () ->
-            match compute_extent t ~schema o with
-            | bag -> finish (); bag
-            | exception e -> finish (); raise e)
-      in
-      (* a bag computed while a source was skipped is partial: serving it
-         from the cache after the source recovers would be a staleness
-         bug, so only complete bags are cached *)
-      if not frame.tainted then EH.replace t.cache (schema, o) (bag, frame.srcs);
-      bag
-
 (* The raw source fetch, routed through the resilience kernel when the
    schema is a registered source.  In degraded mode an exhausted fetch
    becomes a recorded skip (contributing nothing); otherwise it is a
    query error. *)
-and fetch_stored t ~schema o :
+let fetch_stored t ~schema o :
     [ `Stored of Value.Bag.t | `Absent | `Skipped of string * skip_kind ] =
   let fetch () = Repository.stored_extent t.repo ~schema o in
   let classify = function
@@ -409,7 +363,7 @@ and fetch_stored t ~schema o :
           else err "%s" reason)
   | _ -> classify (fetch ())
 
-and fetch_stored_traced t ~schema o =
+let fetch_stored_traced t ~schema o =
   Telemetry.with_span "source.fetch"
     ~attrs:(fun () -> [ ("schema", schema); ("object", Scheme.to_string o) ])
     (fun () ->
@@ -424,51 +378,92 @@ and fetch_stored_traced t ~schema o =
          | `Skipped _ -> ());
       r)
 
-and compute_extent t ~schema o =
-  let stored =
-    match fetch_stored_traced t ~schema o with
-    | `Stored b -> [ b ]
-    | `Absent | `Skipped _ -> []
+let check_refs t ~schema objects =
+  let sch =
+    match Repository.schema t.repo schema with
+    | Some s -> s
+    | None -> err "no schema %s" schema
   in
-  let from_pathways =
-    List.filter_map
-      (fun (p : Transform.pathway) ->
-        (* a contribution that used to flow from an evolved-away source:
-           the quarantined pathway yields nothing, but a degraded run
-           must account for the support the answer can no longer have *)
-        if t.degraded && Repository.retired t.repo p.from_schema then
-          note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        let info = pathway_info t p in
-        match info.live with
-        | Some live when not (Scheme.Set.mem o live) ->
-            Telemetry.count "processor.pathways_pruned";
-            None
-        | _ -> (
-            let defs = defs_of_pathway t.repo info.simplified in
-            match Scheme.Map.find_opt o defs with
-            | None -> None
-            | Some e -> Some (eval_over t ~schema:p.from_schema e)))
-      (Repository.pathways_into t.repo schema)
-  in
-  List.fold_left Value.Bag.union Value.Bag.empty (stored @ from_pathways)
+  Scheme.Set.iter
+    (fun s ->
+      if not (Schema.mem s sch) then
+        err "schema %s has no object %s" schema (Scheme.to_string s))
+    objects
 
-and eval_over t ~schema e =
-  let env =
-    Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) ()
-  in
-  match Eval.eval env e with
-  | Ok (Value.Bag b) -> b
-  | Ok v ->
-      err "query %s over %s produced a non-collection %s" (Ast.to_string e)
-        schema (Value.to_string v)
-  | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
+(* -- the derivation walk ------------------------------------------------- *)
 
-let extent_of t ~schema o =
-  match extent_exn t ~schema o with
-  | bag -> Ok bag
-  | exception Err e -> Error (add_context ~schema e)
+(* Every consumer descends the pathway network through the same pieces:
+   [guard] keeps the derivation stack, [decide] is the per-pathway plan
+   decision, [contributions] the fan-in over the pathways into a schema,
+   and [memo] the cached-extent discipline of the two evaluators. *)
 
-(* -- provenance-annotated extents ---------------------------------------- *)
+(* Runs [f] with [schema] on the derivation stack; meeting it again
+   further down is a cycle in the pathway network. *)
+let guard t ~schema f =
+  if List.mem schema t.visiting then
+    err "cycle in pathway network at schema %s" schema;
+  t.visiting <- schema :: t.visiting;
+  Fun.protect ~finally:(fun () -> t.visiting <- List.tl t.visiting) f
+
+(* How pathway [p] contributes to object [o] of its target: provably
+   nothing (reachability pruning, so the pathway is never replayed),
+   nothing because no view definition reaches [o], or the definition [e]
+   over the objects of [p.from_schema]. *)
+let decide t (p : Transform.pathway) o =
+  let info = pathway_info t p in
+  ( info,
+    match info.live with
+    | Some live when not (Scheme.Set.mem o live) -> `Pruned
+    | _ -> (
+        let defs = defs_of_pathway t.repo info.simplified in
+        match Scheme.Map.find_opt o defs with
+        | None -> `Undefined
+        | Some e -> `Defined e) )
+
+(* a pathway from an evolved-away source, met by a degraded run *)
+let evolved_away t (p : Transform.pathway) =
+  t.degraded && Repository.retired t.repo p.from_schema
+
+(* [f p info decision] for every pathway into [schema], in the
+   repository's pathway order, keeping the contributions [f] returns.  A
+   quarantined pathway from an evolved-away source yields nothing, but a
+   degraded run must account for the support the answer can no longer
+   have. *)
+let contributions t ~schema o f =
+  List.filter_map
+    (fun (p : Transform.pathway) ->
+      if evolved_away t p then
+        note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
+      let info, d = decide t p o in
+      if d = `Pruned then Telemetry.count "processor.pathways_pruned";
+      f p info d)
+    (Repository.pathways_into t.repo schema)
+
+(* The cached extent of [o] in [schema], computing it on a miss on the
+   derivation stack under a fresh provenance frame.  A result computed
+   while a source was skipped is partial: serving it from the cache
+   after the source recovers would be a staleness bug, so only
+   untainted results are stored. *)
+let memo t cache ~schema o compute =
+  match EH.find_opt cache (schema, o) with
+  | Some (r, srcs) ->
+      Telemetry.count "processor.extent.cache_hits";
+      note_sources t srcs;
+      r
+  | None ->
+      Telemetry.count "processor.extent.cache_misses";
+      check_refs t ~schema (Scheme.Set.singleton o);
+      guard t ~schema @@ fun () ->
+      let frame = push_frame t in
+      let r =
+        Fun.protect ~finally:(fun () -> pop_frame t frame) @@ fun () ->
+        Telemetry.with_span "processor.extent"
+          ~attrs:(fun () ->
+            [ ("schema", schema); ("object", Scheme.to_string o) ])
+          compute
+      in
+      if not frame.tainted then EH.replace cache (schema, o) (r, frame.srcs);
+      r
 
 let hop_of (p : Transform.pathway) info =
   {
@@ -478,49 +473,40 @@ let hop_of (p : Transform.pathway) info =
     cert = info.cert;
   }
 
-(* The annotated twin of [extent_exn]/[compute_extent]/[eval_over]: the
-   same derivation walk (same caching discipline, same provenance
-   frames, same pruning) over lineage-carrying bags.  Stored rows are
-   tagged with their extent atom and the telemetry span id of the fetch;
-   every pathway crossing stamps a hop; a degraded-mode skip leaves a
-   marker in the ambient lineage. *)
-let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
-  match EH.find_opt t.pcache (schema, o) with
-  | Some (es, amb, srcs) ->
-      Telemetry.count "processor.extent.cache_hits";
-      note_sources t srcs;
-      (es, amb)
-  | None ->
-      Telemetry.count "processor.extent.cache_misses";
-      if List.mem schema t.visiting then
-        err "cycle in pathway network at schema %s" schema;
-      let sch =
-        match Repository.schema t.repo schema with
-        | Some s -> s
-        | None -> err "no schema %s" schema
-      in
-      if not (Schema.mem o sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string o);
-      t.visiting <- schema :: t.visiting;
-      let frame = push_frame t in
-      let finish () =
-        t.visiting <- List.tl t.visiting;
-        pop_frame t frame
-      in
-      let ((es, amb) as res) =
-        Telemetry.with_span "processor.extent"
-          ~attrs:(fun () ->
-            [ ("schema", schema); ("object", Scheme.to_string o) ])
-          (fun () ->
-            match compute_extent_av t ~schema o with
-            | r -> finish (); r
-            | exception e -> finish (); raise e)
-      in
-      if not frame.tainted then
-        EH.replace t.pcache (schema, o) (es, amb, frame.srcs);
-      res
+let non_collection ~schema e v =
+  err "query %s over %s produced a non-collection %s" (Ast.to_string e) schema
+    (Value.to_string v)
 
-and compute_extent_av t ~schema o =
+(* Plain evaluation: the extent is the bag union of the stored extent and
+   every pathway's contribution. *)
+let rec extent_exn t ~schema o =
+  memo t t.cache ~schema o @@ fun () ->
+  let stored =
+    match fetch_stored_traced t ~schema o with
+    | `Stored b -> [ b ]
+    | `Absent | `Skipped _ -> []
+  in
+  contributions t ~schema o (fun p _ -> function
+    | `Defined e -> Some (eval_over t ~schema:p.from_schema e)
+    | `Pruned | `Undefined -> None)
+  |> List.append stored
+  |> List.fold_left Value.Bag.union Value.Bag.empty
+
+and plain_env t ~schema =
+  Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) ()
+
+and eval_over t ~schema e =
+  match Eval.eval (plain_env t ~schema) e with
+  | Ok (Value.Bag b) -> b
+  | Ok v -> non_collection ~schema e v
+  | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
+
+(* Annotated evaluation: the same walk over lineage-carrying bags.
+   Stored rows are tagged with their extent atom and the telemetry span
+   id of the fetch; every pathway crossing stamps a hop; a degraded-mode
+   skip leaves a marker in the ambient lineage. *)
+let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
+  memo t t.pcache ~schema o @@ fun () ->
   let base =
     match fetch_stored_traced t ~schema o with
     | `Stored b ->
@@ -533,86 +519,59 @@ and compute_extent_av t ~schema o =
     | `Skipped (_reason, Skip_faulty) -> ([], Lineage.skip schema)
     | `Skipped (_reason, Skip_evolved) -> ([], Lineage.skip_evolved schema)
   in
-  let contribs =
-    List.filter_map
-      (fun (p : Transform.pathway) ->
-        let evolved_from =
-          t.degraded && Repository.retired t.repo p.from_schema
-        in
-        if evolved_from then
-          note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-        let info = pathway_info t p in
-        match info.live with
-        | Some live when not (Scheme.Set.mem o live) ->
-            Telemetry.count "processor.pathways_pruned";
-            if evolved_from then
-              Some ([], Lineage.skip_evolved p.from_schema)
-            else None
-        | _ -> (
-            let defs = defs_of_pathway t.repo info.simplified in
-            match Scheme.Map.find_opt o defs with
-            | None ->
-                if evolved_from then
-                  Some ([], Lineage.skip_evolved p.from_schema)
-                else None
-            | Some e ->
-                let es, amb = eval_over_av t ~schema:p.from_schema e in
-                let amb =
-                  if evolved_from then
-                    Lineage.union amb (Lineage.skip_evolved p.from_schema)
-                  else amb
-                in
-                let hop = hop_of p info in
-                Some
-                  ( List.map
-                      (fun (en : Peval.entry) ->
-                        { en with lin = Lineage.add_hop hop en.lin })
-                      es,
-                    Lineage.add_hop hop amb )))
-      (Repository.pathways_into t.repo schema)
-  in
-  List.fold_left
-    (fun (es, amb) (es', amb') ->
-      (Peval.merge_entries es es', Lineage.union amb amb'))
-    base contribs
+  contributions t ~schema o (fun p info d ->
+      let evolved = evolved_away t p in
+      match d with
+      | `Pruned | `Undefined ->
+          if evolved then Some ([], Lineage.skip_evolved p.from_schema)
+          else None
+      | `Defined e ->
+          let es, amb = eval_over_av t ~schema:p.from_schema e in
+          let amb =
+            if evolved then
+              Lineage.union amb (Lineage.skip_evolved p.from_schema)
+            else amb
+          in
+          let hop = hop_of p info in
+          Some
+            ( List.map
+                (fun (en : Peval.entry) ->
+                  { en with lin = Lineage.add_hop hop en.lin })
+                es,
+              Lineage.add_hop hop amb ))
+  |> List.fold_left
+       (fun (es, amb) (es', amb') ->
+         (Peval.merge_entries es es', Lineage.union amb amb'))
+       base
+
+and annotated_env t ~schema =
+  Peval.env
+    ~schemes:(fun s ->
+      let es, amb = extent_av t ~schema s in
+      Some (Peval.abag es amb))
+    ()
 
 and eval_over_av t ~schema e =
-  let env =
-    Peval.env
-      ~schemes:(fun s ->
-        let es, amb = extent_av t ~schema s in
-        Some (Peval.abag es amb))
-      ()
-  in
-  match Peval.eval env e with
+  match Peval.eval (annotated_env t ~schema) e with
   | Ok (Peval.ABag (es, amb)) -> (es, amb)
-  | Ok av ->
-      err "query %s over %s produced a non-collection %s" (Ast.to_string e)
-        schema
-        (Value.to_string (Peval.value_of av))
-  | Error e -> err "%s" (Fmt.str "%a" Peval.pp_error e)
+  | Ok av -> non_collection ~schema e (Peval.value_of av)
+  | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
 
-let check_refs t ~schema q =
-  let sch =
-    match Repository.schema t.repo schema with
-    | Some s -> s
-    | None -> err "no schema %s" schema
-  in
-  Scheme.Set.iter
-    (fun s ->
-      if not (Schema.mem s sch) then
-        err "schema %s has no object %s" schema (Scheme.to_string s))
-    (Ast.schemes q)
+let extent_of t ~schema o =
+  match extent_exn t ~schema o with
+  | bag -> Ok bag
+  | exception Err e -> Error (add_context ~schema e)
 
-let run_internal ~optimize t ~schema q =
-  (* the expression actually evaluated, for error context and probes *)
+(* The request wrapper of both run paths: reference check, optional
+   qualifier rescheduling, and error context naming the schema and the
+   size of the expression actually evaluated. *)
+let evaluate ~optimize t ~schema q eval =
   let evaluated = ref q in
   match
-    check_refs t ~schema q;
+    check_refs t ~schema (Ast.schemes q);
     let q = if optimize then Automed_iql.Optimize.optimize q else q in
     evaluated := q;
-    let env = Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) () in
-    Eval.eval env q
+    eval q
   with
   | Ok v -> Ok v
   | Error e ->
@@ -621,6 +580,9 @@ let run_internal ~optimize t ~schema q =
            (Fmt.str "%a" Eval.pp_error e))
   | exception Err e ->
       Error (add_context ~schema ~expr_size:(Ast.size !evaluated) e)
+
+let run_internal ~optimize t ~schema q =
+  evaluate ~optimize t ~schema q (Eval.eval (plain_env t ~schema))
 
 let run ?(optimize = true) t ~schema q =
   Telemetry.with_span "processor.run" ~attrs:(fun () -> [ ("schema", schema) ])
@@ -646,43 +608,23 @@ type annotated = {
 let default_mac_key = "automed-provenance-v1"
 
 let run_provenance_internal ~optimize ~key t ~schema q =
-  let evaluated = ref q in
-  match
-    check_refs t ~schema q;
-    let q = if optimize then Automed_iql.Optimize.optimize q else q in
-    evaluated := q;
-    let env =
-      Peval.env
-        ~schemes:(fun s ->
-          let es, amb = extent_av t ~schema s in
-          Some (Peval.abag es amb))
-        ()
-    in
-    Peval.eval env q
-  with
-  | Ok av ->
-      let sign v lin = Lineage.sign ~key v lin in
-      let tuples =
-        match av with
-        | Peval.ABag (es, _) ->
-            List.map
-              (fun (e : Peval.entry) ->
-                { value = e.v; count = e.n; lineage = e.lin;
-                  mac = sign e.v e.lin })
-              es
-        | Peval.Scalar (v, l) ->
-            [ { value = v; count = 1; lineage = l; mac = sign v l } ]
-      in
-      Ok
-        { result = Peval.value_of av;
-          tuples;
-          lineage = Peval.lineage_of av }
-  | Error e ->
-      Error
-        (error ~schema ~expr_size:(Ast.size !evaluated)
-           (Fmt.str "%a" Peval.pp_error e))
-  | exception Err e ->
-      Error (add_context ~schema ~expr_size:(Ast.size !evaluated) e)
+  evaluate ~optimize t ~schema q (Peval.eval (annotated_env t ~schema))
+  |> Result.map (fun av ->
+         let sign v lin = Lineage.sign ~key v lin in
+         let tuples =
+           match av with
+           | Peval.ABag (es, _) ->
+               List.map
+                 (fun (e : Peval.entry) ->
+                   { value = e.v; count = e.n; lineage = e.lin;
+                     mac = sign e.v e.lin })
+                 es
+           | Peval.Scalar (v, l) ->
+               [ { value = v; count = 1; lineage = l; mac = sign v l } ]
+         in
+         { result = Peval.value_of av;
+           tuples;
+           lineage = Peval.lineage_of av })
 
 let run_provenance ?(optimize = true) ?(key = default_mac_key) t ~schema q =
   Telemetry.with_span "processor.run"
@@ -827,33 +769,16 @@ let rec unfold_expr t ~schema q =
   Ast.subst_schemes (fun o -> Some (unfold_scheme t ~schema o)) q
 
 and unfold_scheme t ~schema o =
-  if List.mem schema t.visiting then
-    err "cycle in pathway network at schema %s" schema;
+  guard t ~schema @@ fun () ->
   let stored =
     match Repository.stored_extent t.repo ~schema o with
     | Some _ -> [ Ast.SchemeRef (Scheme.prefix schema o) ]
     | None -> []
   in
-  t.visiting <- schema :: t.visiting;
-  let finish () = t.visiting <- List.tl t.visiting in
   let from_pathways =
-    match
-      List.filter_map
-        (fun (p : Transform.pathway) ->
-          let info = pathway_info t p in
-          match info.live with
-          | Some live when not (Scheme.Set.mem o live) ->
-              Telemetry.count "processor.pathways_pruned";
-              None
-          | _ -> (
-              let defs = defs_of_pathway t.repo info.simplified in
-              match Scheme.Map.find_opt o defs with
-              | None -> None
-              | Some e -> Some (unfold_expr t ~schema:p.from_schema e)))
-        (Repository.pathways_into t.repo schema)
-    with
-    | contributions -> finish (); contributions
-    | exception e -> finish (); raise e
+    contributions t ~schema o (fun p _ -> function
+      | `Defined e -> Some (unfold_expr t ~schema:p.from_schema e)
+      | `Pruned | `Undefined -> None)
   in
   match stored @ from_pathways with
   | [] -> Ast.Void (* no derivation: certain answers are empty *)
@@ -866,7 +791,7 @@ let reformulate t ~schema q =
   @@ fun () ->
   Telemetry.count "processor.reformulations";
   match
-    check_refs t ~schema q;
+    check_refs t ~schema (Ast.schemes q);
     unfold_expr t ~schema q
   with
   | q' ->
@@ -911,58 +836,42 @@ type explain = {
   ex_roots : explain_node list;
 }
 
+(* Explain maps [decide] over the pathways itself rather than going
+   through [contributions]: it records every decision, and a plan story
+   must not count as pruning work. *)
 let rec explain_object t ~schema o =
-  if List.mem schema t.visiting then
-    err "cycle in pathway network at schema %s" schema;
+  guard t ~schema @@ fun () ->
   let stored = Repository.stored_extent t.repo ~schema o in
-  t.visiting <- schema :: t.visiting;
-  let finish () = t.visiting <- List.tl t.visiting in
   let pathways =
-    match
-      List.map
-        (fun (p : Transform.pathway) ->
-          let info = pathway_info t p in
-          let base =
-            {
-              ep_from = p.from_schema;
-              ep_steps = List.length p.steps;
-              ep_simplified_steps =
-                List.length info.simplified.Transform.steps;
-              ep_surviving = info.surviving;
-              ep_cert = info.cert;
-              ep_decision = Pruned "";
-            }
-          in
-          match info.live with
-          | Some live when not (Scheme.Set.mem o live) ->
-              { base with
-                ep_decision =
-                  Pruned
-                    "reachability: no stored extent is live under this \
-                     pathway's definition of the object, so its \
-                     contribution is provably the empty bag" }
-          | _ -> (
-              let defs = defs_of_pathway t.repo info.simplified in
-              match Scheme.Map.find_opt o defs with
-              | None ->
-                  { base with
-                    ep_decision =
-                      No_definition
-                        "the object is deleted or contracted along the \
-                         pathway: no view definition reaches the target" }
-              | Some e ->
-                  let children =
-                    Scheme.Set.fold
-                      (fun s acc ->
-                        explain_object t ~schema:p.from_schema s :: acc)
-                      (Ast.schemes e) []
-                    |> List.rev
-                  in
-                  { base with ep_decision = Applied children }))
-        (Repository.pathways_into t.repo schema)
-    with
-    | r -> finish (); r
-    | exception e -> finish (); raise e
+    List.map
+      (fun (p : Transform.pathway) ->
+        let info, d = decide t p o in
+        {
+          ep_from = p.from_schema;
+          ep_steps = List.length p.steps;
+          ep_simplified_steps = List.length info.simplified.Transform.steps;
+          ep_surviving = info.surviving;
+          ep_cert = info.cert;
+          ep_decision =
+            (match d with
+            | `Pruned ->
+                Pruned
+                  "reachability: no stored extent is live under this \
+                   pathway's definition of the object, so its \
+                   contribution is provably the empty bag"
+            | `Undefined ->
+                No_definition
+                  "the object is deleted or contracted along the pathway: \
+                   no view definition reaches the target"
+            | `Defined e ->
+                Applied
+                  (Scheme.Set.fold
+                     (fun s acc ->
+                       explain_object t ~schema:p.from_schema s :: acc)
+                     (Ast.schemes e) []
+                  |> List.rev));
+        })
+      (Repository.pathways_into t.repo schema)
   in
   {
     en_schema = schema;
@@ -982,7 +891,7 @@ let explain_plan ?(optimize = true) t ~schema q =
   @@ fun () ->
   Telemetry.count "processor.explains";
   match
-    check_refs t ~schema q;
+    check_refs t ~schema (Ast.schemes q);
     let q' = if optimize then Automed_iql.Optimize.optimize q else q in
     let roots =
       Scheme.Set.fold
@@ -1058,7 +967,7 @@ let translate t ~from_schema ~to_schema q =
   @@ fun () ->
   Telemetry.count "processor.translations";
   match
-    check_refs t ~schema:from_schema q;
+    check_refs t ~schema:from_schema (Ast.schemes q);
     match Repository.find_path t.repo ~src:to_schema ~dst:from_schema with
     | Error e -> err "%s" e
     | Ok pathway ->

@@ -19,18 +19,26 @@
       sources stay distinct.  Running the reformulated query against
       {!source_env} gives the same answer as {!run}.
 
-    Two observability companions ride on the same derivation walk:
+    All entry points share one derivation walk.  Per pathway into a
+    schema, one decision ([decide]) says whether the pathway is pruned
+    by reachability, gives the object no definition, or defines it by
+    an expression over its source schema; [contributions] collects the
+    defined cases in pathway order, and a single stack guard rejects
+    cycles in the pathway network.  The consumers differ only in what
+    they do with a definition:
 
-    - {!run_provenance} evaluates through the provenance-annotated
-      shadow interpreter ({!Automed_provenance.Peval}), returning the
-      bit-identical answer plus, per answer tuple, the
-      {!Automed_provenance.Lineage.t} citing the stored extents,
-      pathway hops, audit certificates and telemetry spans the tuple
-      was derived from;
-    - {!explain_plan} renders the plan story without running the query:
+    - {!run} evaluates it, and {!run_provenance} evaluates it through
+      the provenance-annotated shadow interpreter
+      ({!Automed_provenance.Peval}), returning the bit-identical answer
+      plus, per answer tuple, the {!Automed_provenance.Lineage.t} citing
+      the stored extents, pathway hops, audit certificates and telemetry
+      spans the tuple was derived from.  Both cache extents through the
+      same [memo] discipline, in two tables;
+    - {!reformulate} substitutes it into the query text;
+    - {!explain_plan} records every decision without running the query:
       per source the reformulation tree, each reachability-pruning or
       no-definition decision with its reason, simplification
-      certificates, and cache state. *)
+      certificates, and cache state.  It fills no cache. *)
 
 module Scheme = Automed_base.Scheme
 module Ast = Automed_iql.Ast
@@ -61,15 +69,6 @@ val create : ?resilience:Resilience.t -> ?simplify:bool -> Repository.t -> t
 
 val repository : t -> Repository.t
 val resilience : t -> Resilience.t option
-
-val simplify_enabled : t -> bool
-(** Whether the static-analysis fast path (certified simplification and
-    reachability pruning) is on. *)
-
-val cache_stats : t -> int * int * int
-(** Live entries in the three caches — plain extents, provenance twins,
-    memoised pathway analyses — for the status dashboard's cache line
-    (how much state a cache-invalidation churn throws away). *)
 
 val invalidate : t -> unit
 (** Drops the extent cache (call after data or pathway changes). *)

@@ -567,7 +567,9 @@ let test_explain_plan () =
 
 let test_ispider_provenance_and_explain () =
   (* acceptance: all 7 case-study queries run with per-tuple lineage,
-     bit-identical to the plain run, and explain_plan tells the story *)
+     bit-identical to the plain run, reformulate onto the sources with
+     the same answer, and explain_plan tells the story without filling
+     any cache *)
   let module Sources = Automed_ispider.Sources in
   let module Queries = Automed_ispider.Queries in
   let module Intersection_run = Automed_ispider.Intersection_run in
@@ -594,7 +596,23 @@ let test_ispider_provenance_and_explain () =
         ann.Processor.tuples;
       let ex = ok_p (Workflow.explain_query wf text) in
       Alcotest.(check bool) "explain has roots" true
-        (ex.Processor.ex_roots <> []))
+        (ex.Processor.ex_roots <> []);
+      let p = Workflow.processor wf and schema = Workflow.global_name wf in
+      let reformulated = ok_p (Processor.reformulate p ~schema (q text)) in
+      (match Eval.eval (Processor.source_env p) reformulated with
+      | Ok v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Q%d reformulate = run" query.Queries.number)
+            true (Value.equal plain v)
+      | Error e -> Alcotest.failf "%a" Eval.pp_error e);
+      let fresh = Processor.create repo in
+      ignore (ok_p (Processor.explain_plan fresh ~schema (q text)));
+      let again = ok_p (Processor.explain_plan fresh ~schema (q text)) in
+      List.iter
+        (fun (n : Processor.explain_node) ->
+          Alcotest.(check bool) "explain leaves the caches cold" true
+            (n.Processor.en_cached = Processor.Cache_cold))
+        again.Processor.ex_roots)
     Queries.all
 
 (* -- federated member report ---------------------------------------------- *)

@@ -203,16 +203,40 @@ let test_cycle_detection () =
   ok
     (Repository.add_pathway repo
        { Transform.from_schema = "a"; to_schema = "b"; steps = [] });
-  ok
-    (Repository.add_pathway repo
-       { Transform.from_schema = "b"; to_schema = "a"; steps = [] });
+  let back = { Transform.from_schema = "b"; to_schema = "a"; steps = [] } in
+  ok (Repository.add_pathway repo back);
   let proc = Processor.create repo in
-  match Processor.extent_of proc ~schema:"a" (Scheme.table "t") with
-  | Ok _ -> Alcotest.fail "cycle not detected"
-  | Error e ->
-      Alcotest.(check bool) "mentions cycle" true
-        (Automed_base.Strutil.contains_sub ~sub:"cycle"
-           (Fmt.str "%a" Processor.pp_error e))
+  let t = Scheme.table "t" and query = q "<<t>>" in
+  let expect_cycle walk = function
+    | Ok _ -> Alcotest.failf "%s: cycle not detected" walk
+    | Error e ->
+        Alcotest.(check bool) (walk ^ " mentions cycle") true
+          (Automed_base.Strutil.contains_sub ~sub:"cycle"
+             (Fmt.str "%a" Processor.pp_error e))
+  in
+  (* every walk detects the cycle ... *)
+  expect_cycle "extent_of" (Processor.extent_of proc ~schema:"a" t);
+  expect_cycle "run_provenance"
+    (Processor.run_provenance proc ~schema:"a" query);
+  expect_cycle "reformulate" (Processor.reformulate proc ~schema:"a" query);
+  expect_cycle "explain_plan" (Processor.explain_plan proc ~schema:"a" query);
+  (* ... and leaves the derivation stack clean: once the cycle is broken
+     the same processor answers through every entry point *)
+  ok (Repository.remove_pathway repo back);
+  let stored = bag [ v_str "x" ] in
+  ok (Repository.set_extent repo ~schema:"a" t stored);
+  let expected = Value.Bag stored in
+  Alcotest.(check bool) "run" true
+    (Value.equal expected (ok_p (Processor.run proc ~schema:"b" query)));
+  let annotated = ok_p (Processor.run_provenance proc ~schema:"b" query) in
+  Alcotest.(check bool) "run_provenance" true
+    (Value.equal expected annotated.Processor.result);
+  let reformulated = ok_p (Processor.reformulate proc ~schema:"b" query) in
+  (match Eval.eval (Processor.source_env proc) reformulated with
+  | Ok v -> Alcotest.(check bool) "reformulate" true (Value.equal expected v)
+  | Error e -> Alcotest.failf "%a" Eval.pp_error e);
+  let ex = ok_p (Processor.explain_plan proc ~schema:"b" query) in
+  Alcotest.(check int) "explain_plan" 1 (List.length ex.Processor.ex_roots)
 
 let test_translate_down () =
   (* query on the derived schema, translated onto the source *)
