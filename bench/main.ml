@@ -1025,32 +1025,25 @@ let bench_integration_end_to_end () =
       ok (Sources.wrap_all repo dataset);
       ignore (ok (Classical_run.execute repo)))
 
-(* -- E-S1: static pathway simplification ---------------------------------- *)
+(* -- E-S1: reachability pruning --------------------------------------------- *)
 
-(* Replayed-step counts and wall clock for the seven case-study queries,
-   naive (every stored pathway replayed verbatim) vs simplified
-   (certified rewrites + source-reachability pruning).  The answers must
-   be bit-identical: simplification is proof-checked, so it may only
-   change how much work the processor does, never what it answers.  The
-   simplified configuration's wall clock includes the one-off analysis
-   cost (rewriting + equivalence certification happen lazily at the
-   first query), so the comparison is end-to-end honest. *)
+(* Replayed-step and pruned-pathway counts and wall clock for the seven
+   case-study queries on a fresh integration, where the query processor
+   skips replaying a pathway for every object whose derivation through
+   it is provably empty.  The wall clock includes the one-off
+   reachability analysis, which happens lazily at the first query. *)
 
-type simplification_outcome = {
-  sc_label : string;
-  sc_simplify : bool;
-  sc_steps_replayed : int;
-  sc_pathways_pruned : int;
-  sc_steps_removed : int;
-  sc_rewrites_certified : int;
-  sc_wall_ms : float;
-  sc_answers : (int * Value.Bag.t) list;  (** query number -> answer *)
+type pruning_outcome = {
+  pr_steps_replayed : int;
+  pr_pathways_pruned : int;
+  pr_wall_ms : float;
+  pr_cardinalities : (int * int) list;  (** query number -> answer size *)
 }
 
-let simplification_config ~simplify label =
+let pruning_outcome () =
   let mem = Telemetry.Memory.create () in
   (* tee into the enclosing experiment sink (E-S1's, in the full run):
-     this config needs a private memory to read its own counters, but
+     the run needs a private memory to read its own counters, but
      replacing the outer sink outright left the E-S1 row of
      BENCH_telemetry.json snapshotting zero metrics *)
   let sink =
@@ -1062,14 +1055,17 @@ let simplification_config ~simplify label =
   Telemetry.with_sink sink @@ fun () ->
   let repo = Repository.create () in
   ok (Sources.wrap_all repo dataset);
-  let run = ok (Intersection_run.execute ~simplify repo) in
+  let run = ok (Intersection_run.execute repo) in
   let wf = run.Intersection_run.workflow in
   let t0 = Telemetry.wall_clock () in
-  let answers =
+  let cardinalities =
     List.map
       (fun (q : Queries.query) ->
         match Workflow.run_query wf q.Queries.global_text with
-        | Ok (Value.Bag b) -> (q.Queries.number, b)
+        | Ok (Value.Bag b) ->
+            if not (Value.Bag.equal b (q.Queries.ground_truth dataset)) then
+              die "E-S1: query %d does not match ground truth" q.Queries.number;
+            (q.Queries.number, Value.Bag.cardinal b)
         | Ok v ->
             die "E-S1 query %d returned %s" q.Queries.number (Value.to_string v)
         | Error e ->
@@ -1080,88 +1076,41 @@ let simplification_config ~simplify label =
   let wall_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
   let c = Telemetry.Memory.counter mem in
   {
-    sc_label = label;
-    sc_simplify = simplify;
-    sc_steps_replayed = c "processor.pathway_steps_replayed";
-    sc_pathways_pruned = c "processor.pathways_pruned";
-    sc_steps_removed = c "processor.pathway_steps_simplified_away";
-    sc_rewrites_certified = c "analysis.rewrites_certified";
-    sc_wall_ms = wall_ms;
-    sc_answers = answers;
+    pr_steps_replayed = c "processor.pathway_steps_replayed";
+    pr_pathways_pruned = c "processor.pathways_pruned";
+    pr_wall_ms = wall_ms;
+    pr_cardinalities = cardinalities;
   }
 
-let simplification_outcomes () =
-  let naive = simplification_config ~simplify:false "naive replay" in
-  let simplified =
-    simplification_config ~simplify:true
-      "certified simplification + reachability pruning"
-  in
-  List.iter2
-    (fun (n1, b1) (n2, b2) ->
-      if n1 <> n2 || not (Value.Bag.equal b1 b2) then
-        die "E-S1: query %d answers differ between naive and simplified" n1)
-    naive.sc_answers simplified.sc_answers;
-  List.iter
-    (fun (q : Queries.query) ->
-      let expected = q.Queries.ground_truth dataset in
-      let got = List.assoc q.Queries.number simplified.sc_answers in
-      if not (Value.Bag.equal got expected) then
-        die "E-S1: query %d does not match ground truth" q.Queries.number)
-    Queries.all;
-  [ naive; simplified ]
+let experiment_pruning o =
+  section "E-S1  Reachability pruning: replayed pathway steps, 7 queries";
+  Printf.printf "  pathway steps replayed: %d\n" o.pr_steps_replayed;
+  Printf.printf "  pathways pruned (provably empty contribution): %d\n"
+    o.pr_pathways_pruned;
+  Printf.printf "  wall clock (7 queries): %.2f ms\n" o.pr_wall_ms;
+  Printf.printf "answers match ground truth\n"
 
-let experiment_simplification outcomes =
-  section
-    "E-S1  Static simplification: replayed pathway steps, naive vs simplified";
-  List.iter
-    (fun o ->
-      Printf.printf "%s\n" o.sc_label;
-      Printf.printf "  pathway steps replayed: %d\n" o.sc_steps_replayed;
-      if o.sc_simplify then (
-        Printf.printf "  pathways pruned (provably empty contribution): %d\n"
-          o.sc_pathways_pruned;
-        Printf.printf
-          "  steps removed by certified rewrites: %d (%d rewrites certified)\n"
-          o.sc_steps_removed o.sc_rewrites_certified);
-      Printf.printf "  wall clock (7 queries): %.2f ms\n\n" o.sc_wall_ms)
-    outcomes;
-  Printf.printf "answers bit-identical across configurations and ground truth\n"
-
-let write_simplification_snapshot path outcomes =
+let write_pruning_snapshot path o =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      let config_json o =
-        Printf.sprintf
-          "{\n\
-          \    \"label\": %s,\n\
-          \    \"simplify\": %b,\n\
-          \    \"pathway_steps_replayed\": %d,\n\
-          \    \"pathways_pruned\": %d,\n\
-          \    \"steps_removed_by_rewrites\": %d,\n\
-          \    \"rewrites_certified\": %d,\n\
-          \    \"wall_ms\": %.3f,\n\
-          \    \"answers\": [%s]\n\
-          \  }"
-          (Microjson.escape o.sc_label) o.sc_simplify o.sc_steps_replayed
-          o.sc_pathways_pruned o.sc_steps_removed o.sc_rewrites_certified
-          o.sc_wall_ms
-          (String.concat ", "
-             (List.map
-                (fun (n, b) ->
-                  Printf.sprintf "{\"query\": %d, \"cardinality\": %d}" n
-                    (Value.Bag.cardinal b))
-                o.sc_answers))
-      in
       Printf.fprintf oc
         "{\n\
         \  \"experiment\": \"E-S1\",\n\
         \  \"queries\": 7,\n\
-        \  \"answers_bit_identical\": true,\n\
-        \  \"configurations\": [%s]\n\
+        \  \"answers_match_ground_truth\": true,\n\
+        \  \"pathway_steps_replayed\": %d,\n\
+        \  \"pathways_pruned\": %d,\n\
+        \  \"wall_ms\": %.3f,\n\
+        \  \"answers\": [%s]\n\
          }\n"
-        (String.concat ", " (List.map config_json outcomes)))
+        o.pr_steps_replayed o.pr_pathways_pruned o.pr_wall_ms
+        (String.concat ", "
+           (List.map
+              (fun (n, c) ->
+                Printf.sprintf "{\"query\": %d, \"cardinality\": %d}" n c)
+              o.pr_cardinalities)))
 
 (* -- E-O1: provenance overhead -------------------------------------------- *)
 
@@ -1945,8 +1894,7 @@ let run_diff ~strict_wall () =
   let baseline = baseline_samples history_file in
   with_telemetry "E-T1" experiment_table1;
   with_telemetry "E-CS1" experiment_counts;
-  let simplification = with_telemetry "E-S1" simplification_outcomes in
-  experiment_simplification simplification;
+  experiment_pruning (with_telemetry "E-S1" pruning_outcome);
   let current =
     List.concat_map
       (fun (name, _wall_ms, m) -> samples_of_metrics name m)
@@ -2006,9 +1954,9 @@ let () =
   experiment_durability durability;
   write_durability_snapshot "BENCH_durability.json" durability;
   Printf.printf "wrote BENCH_durability.json (E-D1 snapshot)\n";
-  let simplification = with_telemetry "E-S1" simplification_outcomes in
-  experiment_simplification simplification;
-  write_simplification_snapshot "BENCH_analysis.json" simplification;
+  let pruning = with_telemetry "E-S1" pruning_outcome in
+  experiment_pruning pruning;
+  write_pruning_snapshot "BENCH_analysis.json" pruning;
   Printf.printf "wrote BENCH_analysis.json (E-S1 snapshot)\n";
   let provenance = with_telemetry "E-O1" provenance_outcomes in
   experiment_provenance provenance;

@@ -120,16 +120,6 @@ let no_resilience =
            fetches are not retried and $(b,lint) warns about every \
            unprotected source.")
 
-let no_simplify =
-  Arg.(
-    value & flag
-    & info [ "no-simplify" ]
-        ~doc:
-          "Disable certified pathway simplification and source-reachability \
-           pruning in the query processor: every stored pathway is replayed \
-           verbatim.  Answers are identical either way; this is the escape \
-           hatch (and the baseline for benchmarks).")
-
 let fault_seed =
   Arg.(
     value & opt int64 0x5EEDL
@@ -239,7 +229,7 @@ let query_cmd =
              $(i,NAME) fails with probability $(i,RATE) (repeatable; see \
              $(b,--fault-seed)).")
   in
-  let run integrated csv_specs no_resilience no_simplify fault_seed name text
+  let run integrated csv_specs no_resilience fault_seed name text
       faults degrade =
     with_repo ~fault_seed integrated csv_specs no_resilience (fun repo res ->
         let ( let* ) = Result.bind in
@@ -250,7 +240,7 @@ let query_cmd =
             | Some r, _ -> apply_faults r faults
             | None, _ :: _ -> Error "--fault requires the resilience layer"
           in
-          Ok (Processor.create ?resilience:res ~simplify:(not no_simplify) repo)
+          Ok (Processor.create ?resilience:res repo)
         with
         | Error e -> fail "%s" e
         | Ok proc when degrade -> (
@@ -283,7 +273,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run an IQL query against a schema.")
     Term.(
       ret
-        (const run $ integrated $ csv_specs $ no_resilience $ no_simplify
+        (const run $ integrated $ csv_specs $ no_resilience
        $ fault_seed $ schema_arg $ iql $ faults $ degrade))
 
 let reformulate_cmd =
@@ -293,11 +283,9 @@ let reformulate_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"IQL" ~doc:"IQL query text.")
   in
-  let run integrated csv_specs no_resilience no_simplify name text =
+  let run integrated csv_specs no_resilience name text =
     with_repo integrated csv_specs no_resilience (fun repo res ->
-        let proc =
-          Processor.create ?resilience:res ~simplify:(not no_simplify) repo
-        in
+        let proc = Processor.create ?resilience:res repo in
         match Parser.parse text with
         | Error e -> fail "%s" e
         | Ok ast -> (
@@ -312,7 +300,7 @@ let reformulate_cmd =
        ~doc:"Unfold a query over a schema onto the data source schemas.")
     Term.(
       ret
-        (const run $ integrated $ csv_specs $ no_resilience $ no_simplify
+        (const run $ integrated $ csv_specs $ no_resilience
        $ schema_arg $ iql))
 
 let match_cmd =
@@ -394,14 +382,12 @@ let extent_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"OBJECT" ~doc:"Schema object, e.g. <<protein>>.")
   in
-  let run integrated csv_specs no_resilience no_simplify name obj_text =
+  let run integrated csv_specs no_resilience name obj_text =
     with_repo integrated csv_specs no_resilience (fun repo res ->
         match Scheme.of_string obj_text with
         | Error e -> fail "%s" e
         | Ok scheme -> (
-            let proc =
-              Processor.create ?resilience:res ~simplify:(not no_simplify) repo
-            in
+            let proc = Processor.create ?resilience:res repo in
             match Processor.extent_of proc ~schema:name scheme with
             | Error e -> fail "%s" (Fmt.str "%a" Processor.pp_error e)
             | Ok bag ->
@@ -420,15 +406,13 @@ let extent_cmd =
        ~doc:"Display the derived extent of a schema object (the Extent Tool).")
     Term.(
       ret
-        (const run $ integrated $ csv_specs $ no_resilience $ no_simplify
+        (const run $ integrated $ csv_specs $ no_resilience
        $ schema_arg $ obj))
 
 let materialize_cmd =
-  let run integrated csv_specs no_resilience no_simplify name =
+  let run integrated csv_specs no_resilience name =
     with_repo integrated csv_specs no_resilience (fun repo res ->
-        let proc =
-          Processor.create ?resilience:res ~simplify:(not no_simplify) repo
-        in
+        let proc = Processor.create ?resilience:res repo in
         match Automed_datasource.Materialize.db_of_schema proc ~schema:name with
         | Error e -> fail "%s" e
         | Ok db ->
@@ -455,8 +439,7 @@ let materialize_cmd =
           (integration as ETL).")
     Term.(
       ret
-        (const run $ integrated $ csv_specs $ no_resilience $ no_simplify
-       $ schema_arg))
+        (const run $ integrated $ csv_specs $ no_resilience $ schema_arg))
 
 let lint_cmd =
   let root =
@@ -968,8 +951,8 @@ let trace_validate_cmd =
 
 (* [automed explain] tells the full story of a query without (text mode:
    before) trusting it: the reformulation tree per source with every
-   pruning decision and its reason, the certified-simplification state of
-   each pathway, cache state, breaker status, the per-stage timing
+   pruning decision and its reason, each pathway's step count, cache
+   state, breaker status, the per-stage timing
    waterfall reconstructed from the telemetry spans of an actual
    provenance-annotated run, and the lineage of every answer tuple. *)
 
@@ -1075,15 +1058,7 @@ let explain_json ~schema ~query (plan : Processor.explain)
         if i > 0 then add ",";
         add "{\"from\":";
         add (Microjson.escape p.Processor.ep_from);
-        add (Printf.sprintf ",\"steps\":%d,\"simplified_steps\":%d"
-               p.Processor.ep_steps p.Processor.ep_simplified_steps);
-        add ",\"surviving\":[";
-        add (String.concat ","
-               (List.map string_of_int p.Processor.ep_surviving));
-        add "],\"cert\":";
-        (match p.Processor.ep_cert with
-        | Some c -> add (Microjson.escape c)
-        | None -> add "null");
+        add (Printf.sprintf ",\"steps\":%d" p.Processor.ep_steps);
         (match p.Processor.ep_decision with
         | Processor.Applied children ->
             add ",\"decision\":\"applied\",\"reason\":null,\"children\":[";
@@ -1227,7 +1202,7 @@ let explain_cmd =
             "Print the lineage of at most $(i,N) answer tuples in text \
              mode (0 = all; JSON mode always includes every tuple).")
   in
-  let run integrated csv_specs no_resilience no_simplify fault_seed name text
+  let run integrated csv_specs no_resilience fault_seed name text
       faults degrade json limit =
     with_repo ~fault_seed integrated csv_specs no_resilience (fun repo res ->
         match
@@ -1238,9 +1213,7 @@ let explain_cmd =
             | None, _ :: _ -> Error "--fault requires the resilience layer"
           in
           let* ast = Parser.parse text in
-          let proc =
-            Processor.create ?resilience:res ~simplify:(not no_simplify) repo
-          in
+          let proc = Processor.create ?resilience:res repo in
           let mem = Telemetry.Memory.create () in
           let perr r = Result.map_error (Fmt.str "%a" Processor.pp_error) r in
           let* plan, ann, completeness =
@@ -1303,13 +1276,13 @@ let explain_cmd =
        ~doc:
          "Tell a query's full plan story: the per-source reformulation \
           tree with every reachability-pruning decision and its reason, \
-          certified-simplification state, cache state, breaker status, a \
+          cache state, breaker status, a \
           per-stage timing waterfall, and the lineage of every answer \
           tuple (which source extents, pathway hops and trace spans it \
           was derived from, with a tamper-evidence digest).")
     Term.(
       ret
-        (const run $ integrated $ csv_specs $ no_resilience $ no_simplify
+        (const run $ integrated $ csv_specs $ no_resilience
        $ fault_seed $ schema_arg $ iql $ faults $ degrade $ json $ limit))
 
 let case_study_cmd =
@@ -1892,7 +1865,7 @@ let status_cmd =
              ok, 1 when any indicator is warn, 2 when any is critical — \
              for CI gates and cron probes.")
   in
-  let run no_simplify fault_seed json exit_code thresholds =
+  let run fault_seed json exit_code thresholds =
     let config = apply_thresholds thresholds in
     let resilience = Resilience.create ~seed:fault_seed () in
     let repo = Repository.create () in
@@ -1901,7 +1874,7 @@ let status_cmd =
       let* durable = Durable.attach (Vfs.memory ()) repo in
       let* () = Sources.wrap_all ~resilience repo (Sources.generate ()) in
       let* run =
-        Intersection_run.execute ~resilience ~simplify:(not no_simplify) repo
+        Intersection_run.execute ~resilience repo
       in
       Ok (durable, run.Intersection_run.workflow)
     with
@@ -1974,8 +1947,7 @@ let status_cmd =
           the probe run.")
     Term.(
       ret
-        (const run $ no_simplify $ fault_seed $ json $ exit_code
-       $ thresholds_arg))
+        (const run $ fault_seed $ json $ exit_code $ thresholds_arg))
 
 (* -- autonomic maintenance ----------------------------------------------- *)
 
@@ -2026,7 +1998,7 @@ let maintain_churn_delta i =
 
 (* Build the journaled, resilient iSpider dataspace the maintenance
    commands operate on — the same shape as [status]. *)
-let build_live_dataspace ~no_simplify ~fault_seed ~fault_rate =
+let build_live_dataspace ~fault_seed ~fault_rate =
   let policy =
     { Resilience.Policy.default with Resilience.Policy.retries = 6 }
   in
@@ -2036,7 +2008,7 @@ let build_live_dataspace ~no_simplify ~fault_seed ~fault_rate =
   let* durable = Durable.attach (Vfs.memory ()) repo in
   let* () = Sources.wrap_all ~resilience repo (Sources.generate ()) in
   let* run =
-    Intersection_run.execute ~resilience ~simplify:(not no_simplify) repo
+    Intersection_run.execute ~resilience repo
   in
   if fault_rate > 0.0 then
     Resilience.inject resilience ~source:Sources.pedro_name
@@ -2121,12 +2093,12 @@ let maintain_cmd =
             "Interleave one scheduler tick after every churn cycle (the \
              default): the autonomic loop that keeps debt below warn.")
   in
-  let run no_simplify fault_seed cycles fault_rate dry_run once watch
+  let run fault_seed cycles fault_rate dry_run once watch
       thresholds =
     ignore watch;
     let config = apply_thresholds thresholds in
     let policy = { Maintain.default_policy with Maintain.health = config } in
-    match build_live_dataspace ~no_simplify ~fault_seed ~fault_rate with
+    match build_live_dataspace ~fault_seed ~fault_rate with
     | Error e -> fail "%s" e
     | Ok (durable, resilience, wf) -> (
         let scheduler = Maintain.Scheduler.create ~policy () in
@@ -2214,7 +2186,7 @@ let maintain_cmd =
           (the default) interleaves a tick per cycle.")
     Term.(
       ret
-        (const run $ no_simplify $ fault_seed $ maintain_cycles 40
+        (const run $ fault_seed $ maintain_cycles 40
        $ maintain_fault_rate $ dry_run $ once $ watch $ thresholds_arg))
 
 let compact_cmd =
@@ -2226,8 +2198,8 @@ let compact_cmd =
             "Run every check and certification but leave the repository \
              untouched.")
   in
-  let run no_simplify fault_seed cycles fault_rate dry_run =
-    match build_live_dataspace ~no_simplify ~fault_seed ~fault_rate with
+  let run fault_seed cycles fault_rate dry_run =
+    match build_live_dataspace ~fault_seed ~fault_rate with
     | Error e -> fail "%s" e
     | Ok (_durable, _resilience, wf) -> (
         let ( let* ) = Result.bind in
@@ -2279,7 +2251,7 @@ let compact_cmd =
           keeps answering bit-identically.")
     Term.(
       ret
-        (const run $ no_simplify $ fault_seed $ maintain_cycles 12
+        (const run $ fault_seed $ maintain_cycles 12
        $ maintain_fault_rate $ dry_run))
 
 let main =

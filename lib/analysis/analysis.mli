@@ -53,8 +53,8 @@ val simplify_certified :
   Transform.pathway ->
   simplification
 (** {!Rewrite.simplify} followed by {!Equiv.check}: the proof-checked
-    simplification pipeline the query processor and the lint autofixer
-    share.  A refusal is counted on the [analysis.rewrites_refused]
+    simplification pipeline behind [automed analyze] and the lint
+    autofixer.  A refusal is counted on the [analysis.rewrites_refused]
     telemetry counter (certifications on [analysis.rewrites_certified]). *)
 
 type fix = {

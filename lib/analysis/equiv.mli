@@ -18,8 +18,9 @@
       must be bit-identical (a definition absent on one side is the
       empty contribution [Void]).
 
-    The query processor refuses any rewrite this checker cannot certify,
-    so static simplification is proof-checked rather than trusted. *)
+    The lint autofixer and chain compaction refuse any rewrite this
+    checker cannot certify, so static simplification is proof-checked
+    rather than trusted. *)
 
 module Scheme = Automed_base.Scheme
 module Schema = Automed_model.Schema

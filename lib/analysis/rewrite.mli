@@ -27,7 +27,8 @@
     error-severity diagnostics; anything else is returned unchanged with
     [eligible = false].  Simplification is meant to be {e proof-checked},
     not trusted: callers should certify the result with {!Equiv.check}
-    before using it (the query processor refuses uncertified rewrites). *)
+    before using it ({!Analysis.simplify_certified} and compaction
+    refuse uncertified rewrites). *)
 
 module Schema = Automed_model.Schema
 module Transform = Automed_transform.Transform

@@ -44,7 +44,7 @@ let flush_journal t =
   | None -> Ok ()
   | Some d -> Automed_durable.Durable.sync d
 
-let start ?resilience ?durable ?simplify repo ~name ~sources =
+let start ?resilience ?durable repo ~name ~sources =
   let* () =
     if sources = [] then Error "workflow needs at least one source" else Ok ()
   in
@@ -61,7 +61,7 @@ let start ?resilience ?durable ?simplify repo ~name ~sources =
   let t =
     {
       repo;
-      proc = Processor.create ?resilience ?simplify repo;
+      proc = Processor.create ?resilience repo;
       base_name = name;
       srcs = sources;
       durable;

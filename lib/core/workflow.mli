@@ -47,7 +47,6 @@ type t
 val start :
   ?resilience:Automed_resilience.Resilience.t ->
   ?durable:Automed_durable.Durable.t ->
-  ?simplify:bool ->
   Repository.t ->
   name:string ->
   sources:string list ->
@@ -55,9 +54,7 @@ val start :
 (** Steps 1-2: registers the initial federated/global schema
     ["<name>_v0"] over the (already wrapped) source schemas.
     [resilience] is handed to the workflow's query processor, so every
-    source fetch of {!run_query} runs under its policy.  [simplify]
-    (default on) is handed there too: certified pathway simplification
-    and reachability pruning; see {!Processor.create}.  [durable] must
+    source fetch of {!run_query} runs under its policy.  [durable] must
     be a handle attached (see {!Automed_durable.Durable.attach}) to this
     same repository; each mutation already journals through the
     repository observer, and the workflow additionally fsyncs the

@@ -201,9 +201,9 @@ let iteration_5 =
       ];
   }
 
-let execute ?resilience ?simplify repo =
+let execute ?resilience repo =
   let* wf =
-    Workflow.start ?resilience ?simplify repo ~name:"ispider"
+    Workflow.start ?resilience repo ~name:"ispider"
       ~sources:[ Sources.pedro_name; Sources.gpmdb_name; Sources.pepseeker_name ]
   in
   let steps = ref [] in

@@ -22,13 +22,12 @@ type run = {
 
 val execute :
   ?resilience:Automed_resilience.Resilience.t ->
-  ?simplify:bool ->
   Repository.t ->
   (run, string) result
 (** Expects the three source schemas to be wrapped already (see
     {!Sources.wrap_all}).  Builds the initial federated schema and runs
-    all iterations.  [resilience] and [simplify] are handed to the
-    workflow's query processor (see {!Workflow.start}). *)
+    all iterations.  [resilience] is handed to the workflow's query
+    processor (see {!Workflow.start}). *)
 
 val intersection_names : string list
 (** The intersection/extension schema names created, in order. *)

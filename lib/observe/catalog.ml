@@ -92,8 +92,6 @@ let all =
       "pathway replays started while deriving extents";
     c "processor.pathway_steps_replayed" "steps"
       "primitive transformation steps replayed while deriving extents";
-    c "processor.pathway_steps_simplified_away" "steps"
-      "steps removed from replay by certified simplification";
     c "processor.pathways_pruned" "pathways"
       "pathway replays skipped because reachability proves them empty";
     c "processor.provenance_runs" "runs" "lineage-annotated query evaluations";

@@ -3,12 +3,7 @@ module Value = Automed_iql.Value
 
 type atom = { source : string; extent : Scheme.t }
 
-type hop = {
-  pathway : string;
-  steps : int;
-  surviving : int list;
-  cert : string option;
-}
+type hop = { pathway : string; steps : int }
 
 module ASet = Set.Make (struct
   type t = atom
@@ -22,7 +17,7 @@ end)
 module HSet = Set.Make (struct
   type t = hop
 
-  (* strings, ints and int lists: structural comparison is total *)
+  (* a string and an int: structural comparison is total *)
   let compare = (Stdlib.compare : hop -> hop -> int)
 end)
 
@@ -107,10 +102,7 @@ let compare a b =
 
 let pp_atom ppf a = Fmt.pf ppf "%s:%s" a.source (Scheme.to_string a.extent)
 
-let pp_hop ppf h =
-  Fmt.pf ppf "%s[%d/%d%a]" h.pathway (List.length h.surviving) h.steps
-    Fmt.(option (fun ppf c -> Fmt.pf ppf "|%s" c))
-    h.cert
+let pp_hop ppf h = Fmt.pf ppf "%s[%d]" h.pathway h.steps
 
 let pp ppf t =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_atom) (atoms t);
@@ -146,11 +138,8 @@ let to_json t =
     (fun i h ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf
-           "{\"pathway\":%s,\"steps\":%d,\"surviving\":[%s],\"cert\":%s}"
-           (J.escape h.pathway) h.steps
-           (String.concat "," (List.map string_of_int h.surviving))
-           (match h.cert with Some c -> J.escape c | None -> "null")))
+        (Printf.sprintf "{\"pathway\":%s,\"steps\":%d}" (J.escape h.pathway)
+           h.steps))
     (hops t);
   Buffer.add_string b "],\"spans\":[";
   List.iteri

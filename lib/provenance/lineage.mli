@@ -4,12 +4,10 @@
     Every value flowing through the provenance-annotated answer path
     carries a lineage: the set of stored source extents it was derived
     from ({!atom}s), the pathway crossings the derivation went through
-    ({!hop}s, including which original steps survived certified
-    simplification and under which audit certificate), the telemetry
-    span ids of the fetches that produced the underlying rows (so a
-    tuple links into the exported Chrome trace), and the sources whose
-    skip — in a degraded run — may have deprived the tuple of further
-    support.
+    ({!hop}s), the telemetry span ids of the fetches that produced the
+    underlying rows (so a tuple links into the exported Chrome trace),
+    and the sources whose skip — in a degraded run — may have deprived
+    the tuple of further support.
 
     The granularity is the {e extent}: an atom cites a whole stored
     extent [(source schema, schema object)], not an individual row.
@@ -33,14 +31,7 @@ type atom = { source : string; extent : Scheme.t }
 
 type hop = {
   pathway : string;  (** pathway id, ["from->to"] *)
-  steps : int;  (** step count of the stored (unsimplified) pathway *)
-  surviving : int list;
-      (** 1-based indices of the original steps that survive verbatim in
-          the certified simplification (all of them when simplification
-          is off or was refused) *)
-  cert : string option;
-      (** rewrite-audit certificate id (e.g. ["eq-12o-64t-r"]) when a
-          certified simplification was applied; [None] otherwise *)
+  steps : int;  (** step count of the stored pathway *)
 }
 (** One pathway crossing of the derivation. *)
 

@@ -8,10 +8,7 @@ module Transform = Automed_transform.Transform
 module Repository = Automed_repository.Repository
 module Telemetry = Automed_telemetry.Telemetry
 module Resilience = Automed_resilience.Resilience
-module Analysis = Automed_analysis.Analysis
 module Reachability = Automed_analysis.Reachability
-module Rewrite = Automed_analysis.Rewrite
-module Equiv = Automed_analysis.Equiv
 module Lineage = Automed_provenance.Lineage
 module Peval = Automed_provenance.Peval
 module SS = Set.Make (String)
@@ -67,30 +64,15 @@ module EH = Hashtbl.Make (EK)
    partial answer. *)
 type frame = { mutable srcs : SS.t; mutable tainted : bool }
 
-(* Static analysis of one stored pathway, computed once and reused for
-   every replay: the certified simplification and the set of target
-   objects with a provably non-empty derivation.  The surviving-step
-   indices and certificate id feed lineage annotations, so an answer
-   tuple can say exactly which pathway steps its derivation crossed and
-   under which equivalence audit. *)
-type pathway_info = {
-  simplified : Transform.pathway;
-      (* the original when simplification is off, refused, or a no-op *)
-  live : Scheme.Set.t option; (* None: unknown, never prune *)
-  surviving : int list;
-      (* 1-based indices of original steps kept verbatim by the rewrite *)
-  cert : string option; (* audit-certificate id of the applied rewrite *)
-}
-
 type t = {
   repo : Repository.t;
   resilience : Resilience.t option;
-  simplify : bool;
   cache : (Value.Bag.t * SS.t) EH.t;
       (* cached bag plus the sources whose data it incorporates *)
   pcache : ((Peval.entry list * Lineage.t) * SS.t) EH.t;
       (* the annotated twin of [cache], for provenance runs *)
-  pinfo : (Transform.pathway, pathway_info) Hashtbl.t;
+  pinfo : (Transform.pathway, Scheme.Set.t option) Hashtbl.t;
+      (* reachability live set per stored pathway; None: never prune *)
   mutable visiting : string list; (* schemas on the derivation stack *)
   mutable degraded : bool; (* soften source failures into skips *)
   mutable frames : frame list; (* innermost first *)
@@ -100,11 +82,10 @@ type t = {
 
 and skip_kind = Skip_faulty | Skip_evolved
 
-let create ?resilience ?(simplify = true) repo =
+let create ?resilience repo =
   {
     repo;
     resilience;
-    simplify;
     cache = EH.create 64;
     pcache = EH.create 64;
     pinfo = Hashtbl.create 16;
@@ -135,20 +116,19 @@ let drop_source cache source =
 
 (* Targeted churn invalidation: exactly the entries tainted by [source]
    are dropped from all three caches — extent bags and provenance twins
-   whose contributing-source sets cite it, and pathway-info records of
+   whose contributing-source sets cite it, and the live sets of
    pathways that start or end at it (an evolution alters the source's
-   shape or replaces those pathways, so their simplification, live set
-   and certificate are stale).  Entries of untouched sources survive;
-   the emitted counters let tests pin both directions (no stale hits,
-   no over-invalidation). *)
+   shape or replaces those pathways, so their live sets are stale).
+   Entries of untouched sources survive; the emitted counters let tests
+   pin both directions (no stale hits, no over-invalidation). *)
 let invalidate_source t source =
   let extents = drop_source t.cache source in
   let provenance = drop_source t.pcache source in
   let analyses = Hashtbl.length t.pinfo in
   Hashtbl.filter_map_inplace
-    (fun (p : Transform.pathway) info ->
+    (fun (p : Transform.pathway) live ->
       if p.from_schema = source || p.to_schema = source then None
-      else Some info)
+      else Some live)
     t.pinfo;
   if Telemetry.active () then begin
     Telemetry.count ~by:extents "processor.invalidated.extents";
@@ -246,81 +226,22 @@ let defs_of_pathway repo (p : Transform.pathway) : Ast.expr Scheme.Map.t =
             | None -> err "id of unknown object %s" (Scheme.to_string a)))
     init p.steps
 
-let prim_equal (a : Transform.prim) (b : Transform.prim) =
-  match (a, b) with
-  | Add (o1, q1), Add (o2, q2) | Delete (o1, q1), Delete (o2, q2) ->
-      Scheme.equal o1 o2 && Ast.equal q1 q2
-  | Extend (o1, l1, u1), Extend (o2, l2, u2)
-  | Contract (o1, l1, u1), Contract (o2, l2, u2) ->
-      Scheme.equal o1 o2 && Ast.equal l1 l2 && Ast.equal u1 u2
-  | Rename (a1, b1), Rename (a2, b2) | Id (a1, b1), Id (a2, b2) ->
-      Scheme.equal a1 a2 && Scheme.equal b1 b2
-  | _ -> false
-
-(* Which original steps survive verbatim in the simplified pathway
-   (greedy in-order matching — sound because the rewrite rules only drop
-   or locally replace steps, never reorder them).  1-based, matching the
-   linter's step indices. *)
-let surviving_indices ~original ~simplified =
-  let rec go i orig simp acc =
-    match (orig, simp) with
-    | _, [] | [], _ -> List.rev acc
-    | o :: os, s :: ss ->
-        if prim_equal o s then go (i + 1) os ss (i :: acc)
-        else go (i + 1) os (s :: ss) acc
-  in
-  go 1 original simplified []
-
-let all_indices steps = List.mapi (fun i _ -> i + 1) steps
-
-let cert_id (c : Equiv.certificate) =
-  Printf.sprintf "eq-%do-%dt%s" c.Equiv.objects c.Equiv.trials
-    (if c.Equiv.reverse_checked then "-r" else "")
-
-(* The proof-checked fast path.  Each stored pathway is analysed once:
-   the rewrite engine's simplification is used only when the independent
-   equivalence checker certifies it (a refusal falls back to the
-   original and is counted), and the reachability pass yields the live
-   set that lets replays be skipped entirely for objects whose
-   derivation is provably empty — sound because the empty bag is the
-   identity of the bag union that combines contributions. *)
-let pathway_info t (p : Transform.pathway) =
+(* The set of target objects of [p] with a provably non-empty
+   derivation, computed once per stored pathway and reused for every
+   replay: a replay is skipped entirely for an object outside it, which
+   is sound because the empty bag is the identity of the bag union that
+   combines contributions. *)
+let live_set t (p : Transform.pathway) =
   match Hashtbl.find_opt t.pinfo p with
-  | Some info -> info
+  | Some live -> live
   | None ->
-      let unchanged =
-        { simplified = p; live = None; surviving = all_indices p.steps;
-          cert = None }
+      let live =
+        match Repository.schema t.repo p.from_schema with
+        | None -> None
+        | Some src -> Reachability.live_objects ~source:src p
       in
-      let info =
-        if not t.simplify then unchanged
-        else
-          match Repository.schema t.repo p.from_schema with
-          | None -> unchanged
-          | Some src ->
-              let simplified, surviving, cert =
-                match Analysis.simplify_certified src p with
-                | `Unchanged | `Refused _ ->
-                    (p, all_indices p.steps, None)
-                | `Simplified (o, cert) ->
-                    (if Telemetry.active () then
-                       let removed =
-                         List.length p.steps
-                         - List.length o.Rewrite.pathway.Transform.steps
-                       in
-                       Telemetry.count ~by:removed
-                         "processor.pathway_steps_simplified_away");
-                    ( o.Rewrite.pathway,
-                      surviving_indices ~original:p.steps
-                        ~simplified:o.Rewrite.pathway.Transform.steps,
-                      Some (cert_id cert) )
-              in
-              { simplified;
-                live = Reachability.live_objects ~source:src p;
-                surviving; cert }
-      in
-      Hashtbl.replace t.pinfo p info;
-      info
+      Hashtbl.replace t.pinfo p live;
+      live
 
 (* The raw source fetch, routed through the resilience kernel when the
    schema is a registered source.  In degraded mode an exhausted fetch
@@ -410,21 +331,18 @@ let guard t ~schema f =
    nothing because no view definition reaches [o], or the definition [e]
    over the objects of [p.from_schema]. *)
 let decide t (p : Transform.pathway) o =
-  let info = pathway_info t p in
-  ( info,
-    match info.live with
-    | Some live when not (Scheme.Set.mem o live) -> `Pruned
-    | _ -> (
-        let defs = defs_of_pathway t.repo info.simplified in
-        match Scheme.Map.find_opt o defs with
-        | None -> `Undefined
-        | Some e -> `Defined e) )
+  match live_set t p with
+  | Some live when not (Scheme.Set.mem o live) -> `Pruned
+  | _ -> (
+      match Scheme.Map.find_opt o (defs_of_pathway t.repo p) with
+      | None -> `Undefined
+      | Some e -> `Defined e)
 
 (* a pathway from an evolved-away source, met by a degraded run *)
 let evolved_away t (p : Transform.pathway) =
   t.degraded && Repository.retired t.repo p.from_schema
 
-(* [f p info decision] for every pathway into [schema], in the
+(* [f p decision] for every pathway into [schema], in the
    repository's pathway order, keeping the contributions [f] returns.  A
    quarantined pathway from an evolved-away source yields nothing, but a
    degraded run must account for the support the answer can no longer
@@ -434,9 +352,9 @@ let contributions t ~schema o f =
     (fun (p : Transform.pathway) ->
       if evolved_away t p then
         note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
-      let info, d = decide t p o in
+      let d = decide t p o in
       if d = `Pruned then Telemetry.count "processor.pathways_pruned";
-      f p info d)
+      f p d)
     (Repository.pathways_into t.repo schema)
 
 (* The cached extent of [o] in [schema], computing it on a miss on the
@@ -465,13 +383,9 @@ let memo t cache ~schema o compute =
       if not frame.tainted then EH.replace cache (schema, o) (r, frame.srcs);
       r
 
-let hop_of (p : Transform.pathway) info =
-  {
-    Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
-    steps = List.length p.steps;
-    surviving = info.surviving;
-    cert = info.cert;
-  }
+let hop_of (p : Transform.pathway) =
+  { Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
+    steps = List.length p.steps }
 
 let non_collection ~schema e v =
   err "query %s over %s produced a non-collection %s" (Ast.to_string e) schema
@@ -486,7 +400,7 @@ let rec extent_exn t ~schema o =
     | `Stored b -> [ b ]
     | `Absent | `Skipped _ -> []
   in
-  contributions t ~schema o (fun p _ -> function
+  contributions t ~schema o (fun p -> function
     | `Defined e -> Some (eval_over t ~schema:p.from_schema e)
     | `Pruned | `Undefined -> None)
   |> List.append stored
@@ -519,7 +433,7 @@ let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
     | `Skipped (_reason, Skip_faulty) -> ([], Lineage.skip schema)
     | `Skipped (_reason, Skip_evolved) -> ([], Lineage.skip_evolved schema)
   in
-  contributions t ~schema o (fun p info d ->
+  contributions t ~schema o (fun p d ->
       let evolved = evolved_away t p in
       match d with
       | `Pruned | `Undefined ->
@@ -532,7 +446,7 @@ let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
               Lineage.union amb (Lineage.skip_evolved p.from_schema)
             else amb
           in
-          let hop = hop_of p info in
+          let hop = hop_of p in
           Some
             ( List.map
                 (fun (en : Peval.entry) ->
@@ -776,7 +690,7 @@ and unfold_scheme t ~schema o =
     | None -> []
   in
   let from_pathways =
-    contributions t ~schema o (fun p _ -> function
+    contributions t ~schema o (fun p -> function
       | `Defined e -> Some (unfold_expr t ~schema:p.from_schema e)
       | `Pruned | `Undefined -> None)
   in
@@ -809,9 +723,6 @@ type cache_state = Cache_hit | Cache_cold
 type explain_pathway = {
   ep_from : string;
   ep_steps : int;
-  ep_simplified_steps : int;
-  ep_surviving : int list;
-  ep_cert : string option;
   ep_decision : explain_decision;
 }
 
@@ -845,15 +756,11 @@ let rec explain_object t ~schema o =
   let pathways =
     List.map
       (fun (p : Transform.pathway) ->
-        let info, d = decide t p o in
         {
           ep_from = p.from_schema;
           ep_steps = List.length p.steps;
-          ep_simplified_steps = List.length info.simplified.Transform.steps;
-          ep_surviving = info.surviving;
-          ep_cert = info.cert;
           ep_decision =
-            (match d with
+            (match decide t p o with
             | `Pruned ->
                 Pruned
                   "reachability: no stored extent is live under this \
@@ -917,16 +824,7 @@ let pp_explain_node ppf node =
       | Cache_cold -> "");
     List.iter
       (fun e ->
-        Fmt.pf ppf "@\n%s  <- %s [%d->%d steps%s%s] " indent e.ep_from
-          e.ep_steps e.ep_simplified_steps
-          (if e.ep_simplified_steps < e.ep_steps then
-             match e.ep_surviving with
-             | [] -> ", no step survives verbatim"
-             | ss ->
-                 Fmt.str ", surviving %s"
-                   (String.concat "," (List.map string_of_int ss))
-           else "")
-          (match e.ep_cert with Some c -> ", cert " ^ c | None -> "");
+        Fmt.pf ppf "@\n%s  <- %s [%d steps] " indent e.ep_from e.ep_steps;
         match e.ep_decision with
         | Pruned reason -> Fmt.pf ppf "PRUNED: %s" reason
         | No_definition reason -> Fmt.pf ppf "NO DEFINITION: %s" reason
@@ -971,10 +869,6 @@ let translate t ~from_schema ~to_schema q =
     match Repository.find_path t.repo ~src:to_schema ~dst:from_schema with
     | Error e -> err "%s" e
     | Ok pathway ->
-        (* composed pathways concatenate steps across every hop, so the
-           rename chains and dead pairs the rewrite engine collapses
-           mostly arise here, at the composition seams *)
-        let pathway = (pathway_info t pathway).simplified in
         let defs = defs_of_pathway t.repo pathway in
         Ast.subst_schemes
           (fun o ->

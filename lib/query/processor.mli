@@ -31,14 +31,14 @@
       the provenance-annotated shadow interpreter
       ({!Automed_provenance.Peval}), returning the bit-identical answer
       plus, per answer tuple, the {!Automed_provenance.Lineage.t} citing
-      the stored extents, pathway hops, audit certificates and telemetry
-      spans the tuple was derived from.  Both cache extents through the
-      same [memo] discipline, in two tables;
+      the stored extents, pathway hops and telemetry spans the tuple
+      was derived from.  Both cache extents through the same [memo]
+      discipline, in two tables;
     - {!reformulate} substitutes it into the query text;
     - {!explain_plan} records every decision without running the query:
       per source the reformulation tree, each reachability-pruning or
-      no-definition decision with its reason, simplification
-      certificates, and cache state.  It fills no cache. *)
+      no-definition decision with its reason, and cache state.  It
+      fills no cache. *)
 
 module Scheme = Automed_base.Scheme
 module Ast = Automed_iql.Ast
@@ -51,21 +51,19 @@ module Peval = Automed_provenance.Peval
 type t
 (** A processor wraps a repository with an extent cache. *)
 
-val create : ?resilience:Resilience.t -> ?simplify:bool -> Repository.t -> t
+val create : ?resilience:Resilience.t -> Repository.t -> t
 (** With [resilience], every stored-extent fetch of a source registered
     in that registry goes through {!Resilience.call} (retries, timeout,
     circuit breaker).  A fetch that exhausts its policy fails the query
     in {!run} and becomes a recorded skip in {!run_degraded}.
 
-    With [simplify] (the default), every pathway is statically analysed
-    once before its first replay: the
-    {!Automed_analysis.Rewrite} engine's simplification is applied when
-    — and only when — the independent {!Automed_analysis.Equiv} checker
-    certifies it equivalent, and the
-    {!Automed_analysis.Reachability} live-set lets the processor skip
-    replaying a pathway entirely for objects whose derivation through it
-    is provably empty.  Answers are bit-identical either way;
-    [simplify:false] is the naive replay (the CLI's [--no-simplify]). *)
+    Every stored pathway is replayed as stored.  Before its first replay
+    the {!Automed_analysis.Reachability} pass computes, once, the set of
+    target objects with a provably non-empty derivation through it; the
+    processor skips replaying the pathway entirely for any other object.
+    Certified rewriting ({!Automed_analysis.Analysis.simplify_certified})
+    is not on the query path: it belongs to [automed analyze],
+    [lint --fix] and compaction. *)
 
 val repository : t -> Repository.t
 val resilience : t -> Resilience.t option
@@ -76,8 +74,8 @@ val invalidate : t -> unit
 val invalidate_source : t -> string -> unit
 (** Drops every cache entry that incorporates data from the given source
     schema (directly or through derivation) — extent bags, provenance
-    twins, and the memoised analysis (simplification, live set,
-    certificate) of pathways that start or end at the source — so a
+    twins, and the memoised reachability live sets of pathways that
+    start or end at the source — so a
     recovered, refreshed or {e evolved} source is re-analysed and
     re-fetched on the next query, while entries of untouched sources
     stay cached.  Partial bags computed while a source was skipped are
@@ -244,12 +242,7 @@ type cache_state = Cache_hit | Cache_cold
 
 type explain_pathway = {
   ep_from : string;  (** the pathway's source schema *)
-  ep_steps : int;  (** stored (unsimplified) step count *)
-  ep_simplified_steps : int;  (** steps actually replayed *)
-  ep_surviving : int list;
-      (** 1-based original-step indices kept verbatim by the certified
-          simplification (all of them when nothing was simplified) *)
-  ep_cert : string option;  (** audit-certificate id, when simplified *)
+  ep_steps : int;  (** step count of the stored pathway *)
   ep_decision : explain_decision;
 }
 

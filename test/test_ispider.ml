@@ -16,6 +16,7 @@ module Sources = Automed_ispider.Sources
 module Queries = Automed_ispider.Queries
 module Intersection_run = Automed_ispider.Intersection_run
 module Classical_run = Automed_ispider.Classical_run
+module Telemetry = Automed_telemetry.Telemetry
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
@@ -339,28 +340,37 @@ let test_effort_comparison () =
   Alcotest.(check int) "factor > 3" 3
     (crun.Classical_run.total_manual / irun.Intersection_run.total_manual)
 
-(* The seven case-study queries must be bit-identical with the static
-   simplification/pruning pipeline on (the default, used by
-   [intersection_env]) and off: certified rewrites and reachability
-   pruning change how much work the processor does, never the answer. *)
-let test_simplify_bit_identical () =
-  let ds = Lazy.force dataset in
-  let naive_repo = Repository.create () in
-  ok (Sources.wrap_all naive_repo ds);
-  let naive = ok (Intersection_run.execute ~simplify:false naive_repo) in
-  let _, _, run = Lazy.force intersection_env in
+(* A cold query pays only for reachability: a fresh processor answers
+   the seven case-study queries without a single rewrite-rule
+   application or equivalence certification, still prunes pathways, and
+   every answer is the ground truth. *)
+let test_cold_queries_skip_rewriting () =
+  let ds, repo, run = Lazy.force intersection_env in
+  let schema = Workflow.global_name run.Intersection_run.workflow in
+  let fresh = Processor.create repo in
+  let mem = Telemetry.Memory.create () in
+  Telemetry.with_sink (Telemetry.Memory.sink mem) (fun () ->
+      List.iter
+        (fun (q : Queries.query) ->
+          match Processor.run_string fresh ~schema q.Queries.global_text with
+          | Ok (Value.Bag got) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "query %d matches ground truth" q.Queries.number)
+                true
+                (Value.Bag.equal got (q.Queries.ground_truth ds))
+          | Ok v ->
+              Alcotest.failf "query %d: non-bag %s" q.Queries.number
+                (Value.to_string v)
+          | Error e ->
+              Alcotest.failf "query %d: %a" q.Queries.number Processor.pp_error
+                e)
+        Queries.all);
   List.iter
-    (fun (q : Queries.query) ->
-      let answer (r : Intersection_run.run) =
-        match Workflow.run_query r.Intersection_run.workflow q.Queries.global_text with
-        | Ok v -> v
-        | Error e -> Alcotest.fail (Fmt.str "%a" Processor.pp_error e)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "query %d bit-identical" q.Queries.number)
-        true
-        (Value.equal (answer naive) (answer run)))
-    Queries.all
+    (fun name ->
+      Alcotest.(check int) name 0 (Telemetry.Memory.counter mem name))
+    [ "analysis.rewrite.applications"; "analysis.rewrites_certified" ];
+  Alcotest.(check bool) "pathways pruned" true
+    (Telemetry.Memory.counter mem "processor.pathways_pruned" > 0)
 
 let suite =
   [
@@ -391,6 +401,6 @@ let suite =
       test_classical_queries_match_ground_truth;
     Alcotest.test_case "all schemas HDM-valid" `Quick test_all_schemas_hdm_valid;
     Alcotest.test_case "26 vs 95 comparison" `Quick test_effort_comparison;
-    Alcotest.test_case "simplify on/off bit-identical" `Quick
-      test_simplify_bit_identical;
+    Alcotest.test_case "cold queries skip rewriting" `Quick
+      test_cold_queries_skip_rewriting;
   ]

@@ -75,10 +75,7 @@ let test_lineage_semilattice () =
     (Lineage.equal (Lineage.only_skips sk) (Lineage.skip "down"))
 
 let test_lineage_json_and_mac () =
-  let hop =
-    { Lineage.pathway = "a->b"; steps = 3; surviving = [ 1; 3 ];
-      cert = Some "eq-2o-8t" }
-  in
+  let hop = { Lineage.pathway = "a->b"; steps = 3 } in
   let l = Lineage.add_hop hop (Lineage.add_span 7 (atom "s1" t_obj)) in
   let json = Lineage.to_json l in
   (match Microjson.parse json with
