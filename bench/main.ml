@@ -1115,9 +1115,9 @@ let write_pruning_snapshot path o =
 (* -- E-O1: provenance overhead -------------------------------------------- *)
 
 (* The seven case-study queries evaluated twice over the same repository
-   with cold processors: the plain evaluator vs the lineage-carrying
-   shadow interpreter.  The answers must be bit-identical (the annotated
-   evaluator delegates every scalar operation to the reference one), so
+   with cold processors: the plain instance of the evaluator vs its
+   lineage instance.  The answers must be bit-identical (both instances
+   run the same rules; the lineage instance only adds annotations), so
    the only cost of provenance is wall clock and memory — this measures
    the wall-clock side.  Every tuple's tamper-evidence digest is also
    re-verified. *)
@@ -1840,8 +1840,8 @@ let samples_of_metrics experiment (m : Telemetry.Metrics.t) =
 
 (* The baseline is the span count and counters of each gated
    experiment's last "full" record in the tracked history file.  [diff]
-   runs append "diff" records, so a diff run never becomes its own
-   baseline. *)
+   runs append nothing to it, so the gate leaves its own baseline
+   untouched. *)
 let baseline_samples path =
   let ic = try open_in_bin path with Sys_error e -> die "%s" e in
   let lines =
@@ -1904,7 +1904,6 @@ let run_diff ~strict_wall () =
   let findings = Bench_diff.diff ~config ~baseline current in
   section "bench diff: fresh run vs the last full run in BENCH_history.jsonl";
   print_string (Bench_diff.to_text findings);
-  append_history ~mode:"diff";
   if Bench_diff.gate_failures findings <> [] then exit 1
 
 (* [bench/main.exe evolution] runs only the churn experiment — the CI

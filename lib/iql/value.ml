@@ -96,22 +96,24 @@ module Bag = struct
         | c when c < 0 -> if count <= 0 then b else (v, count) :: b
         | _ -> (w, m) :: add ~count v rest)
 
-  let of_weighted_list pairs =
+  let canonical plus positive pairs =
     let sorted =
       List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs
     in
-    (* merge runs of equal elements, summing counts *)
+    (* merge runs of equal elements, adding their weights *)
     let rec merge = function
       | [] -> []
       | (v, n) :: rest ->
           let rec take n = function
-            | (v', n') :: rest when compare v v' = 0 -> take (n + n') rest
+            | (v', n') :: rest when compare v v' = 0 -> take (plus n n') rest
             | rest -> (n, rest)
           in
           let total, rest = take n rest in
-          if total <= 0 then merge rest else (v, total) :: merge rest
+          if positive total then (v, total) :: merge rest else merge rest
     in
     merge sorted
+
+  let of_weighted_list pairs = canonical ( + ) (fun n -> n > 0) pairs
 
   let of_list xs = of_weighted_list (List.map (fun v -> (v, 1)) xs)
 
@@ -135,19 +137,37 @@ module Bag = struct
   let rec merge f a b =
     match (a, b) with
     | [], [] -> []
-    | (v, n) :: ra, [] -> cons v (f n 0) (merge f ra [])
-    | [], (v, n) :: rb -> cons v (f 0 n) (merge f [] rb)
+    | (v, n) :: ra, [] -> cons v (f (Some n) None) (merge f ra [])
+    | [], (v, n) :: rb -> cons v (f None (Some n)) (merge f [] rb)
     | (v1, n1) :: ra, (v2, n2) :: rb -> (
         match compare v1 v2 with
-        | 0 -> cons v1 (f n1 n2) (merge f ra rb)
-        | c when c < 0 -> cons v1 (f n1 0) (merge f ra b)
-        | _ -> cons v2 (f 0 n2) (merge f a rb))
+        | 0 -> cons v1 (f (Some n1) (Some n2)) (merge f ra rb)
+        | c when c < 0 -> cons v1 (f (Some n1) None) (merge f ra b)
+        | _ -> cons v2 (f None (Some n2)) (merge f a rb))
 
-  and cons v n rest = if n <= 0 then rest else (v, n) :: rest
+  and cons v w rest = match w with None -> rest | Some w -> (v, w) :: rest
 
-  let union a b = merge ( + ) a b
-  let monus a b = merge (fun x y -> max 0 (x - y)) a b
-  let inter a b = merge min a b
+  let union a b =
+    merge
+      (fun x y ->
+        match (x, y) with
+        | Some x, Some y -> Some (x + y)
+        | x, None | None, x -> x)
+      a b
+
+  let monus a b =
+    merge
+      (fun x y ->
+        match (x, y) with
+        | Some x, Some y -> if x > y then Some (x - y) else None
+        | x, _ -> x)
+      a b
+
+  let inter a b =
+    merge
+      (fun x y ->
+        match (x, y) with Some x, Some y -> Some (min x y) | _ -> None)
+      a b
   let distinct b = List.map (fun (v, _) -> (v, 1)) b
 
   let sub_bag a b =

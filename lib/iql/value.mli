@@ -88,6 +88,27 @@ module Bag : sig
   (** Folds over distinct elements with their multiplicities. *)
 
   val equal : t -> t -> bool
+
+  (** {2 Weighted lists}
+
+      The two walks the operations above are built from, generic over the
+      weight an element carries: its multiplicity here, its multiplicity
+      and annotation in an annotated evaluator ({!Eval.Make}). *)
+
+  val canonical :
+    ('w -> 'w -> 'w) -> ('w -> bool) -> (elt * 'w) list -> (elt * 'w) list
+  (** [canonical plus positive pairs] sorts [pairs], adds the weights of
+      equal elements with [plus] and keeps the elements whose total weight
+      is [positive].  O(n log n). *)
+
+  val merge :
+    ('w option -> 'w option -> 'w option) ->
+    (elt * 'w) list ->
+    (elt * 'w) list ->
+    (elt * 'w) list
+  (** [merge f a b] walks two canonical lists in step: an element gets
+      [f] of its weights in [a] and in [b] ([None] where absent) and is
+      kept when that is [Some].  O(n + m). *)
 end
 
 val bag_of_list : t list -> t

@@ -67,7 +67,6 @@ let union a b =
     }
 
 let add_hop h t = { t with lh = HSet.add h t.lh }
-let add_span id t = { t with lsp = IS.add id t.lsp }
 let only_skips t = { empty with lsk = t.lsk; lev = t.lev }
 let atoms t = ASet.elements t.la
 let hops t = HSet.elements t.lh
@@ -85,20 +84,6 @@ let cites_skip s t = SS.mem s t.lsk || SS.mem s t.lev
 let equal a b =
   ASet.equal a.la b.la && HSet.equal a.lh b.lh && SS.equal a.lsk b.lsk
   && SS.equal a.lev b.lev && IS.equal a.lsp b.lsp
-
-let compare a b =
-  match ASet.compare a.la b.la with
-  | 0 -> (
-      match HSet.compare a.lh b.lh with
-      | 0 -> (
-          match SS.compare a.lsk b.lsk with
-          | 0 -> (
-              match SS.compare a.lev b.lev with
-              | 0 -> IS.compare a.lsp b.lsp
-              | c -> c)
-          | c -> c)
-      | c -> c)
-  | c -> c
 
 let pp_atom ppf a = Fmt.pf ppf "%s:%s" a.source (Scheme.to_string a.extent)
 
@@ -183,3 +168,14 @@ let sign ~key value t =
   Printf.sprintf "%016Lx" h
 
 let verify ~key value t mac = String.equal (sign ~key value t) mac
+
+(* -- lineage-annotated evaluation ------------------------------------------ *)
+
+type bag = (Value.t * (int * t)) list * t
+type value = t Automed_iql.Eval.annotated
+
+(* skip markers flow from a generator source onto each generated element:
+   a skipped source "could have affected" every tuple that went through a
+   bag it should have fed *)
+let instance : (t, int * t, bag, value) Automed_iql.Eval.instance =
+  Annotated { none = empty; join = union; carry = only_skips }

@@ -55,7 +55,6 @@ val skip_evolved : string -> t
 
 val union : t -> t -> t
 val add_hop : hop -> t -> t
-val add_span : int -> t -> t
 
 val only_skips : t -> t
 (** The lineage restricted to its skip markers — what comprehension
@@ -72,7 +71,6 @@ val skipped : t -> string list
 
 val skipped_faulty : t -> string list
 val skipped_evolved : t -> string list
-val spans : t -> int list
 
 val sources : t -> string list
 (** Distinct source schemas cited by the atoms, sorted. *)
@@ -83,7 +81,6 @@ val cites_skip : string -> t -> bool
 (** True for a skip marker of either kind. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : t Fmt.t
 (** Compact one-line rendering, e.g.
@@ -104,3 +101,19 @@ val sign : key:string -> Value.t -> t -> string
 (** 16 hex digits. *)
 
 val verify : key:string -> Value.t -> t -> string -> bool
+
+(** {1 Lineage-annotated evaluation} *)
+
+type bag = (Value.t * (int * t)) list * t
+(** Elements with their multiplicity and lineage, and the ambient
+    lineage: bag-level facts that survive when the bag is empty (a
+    cited-but-empty extent, a pathway hop, a degraded-mode skip). *)
+
+type value = t Automed_iql.Eval.annotated
+
+val instance : (t, int * t, bag, value) Automed_iql.Eval.instance
+(** Lineage as the annotation of the IQL evaluator
+    ({!Automed_iql.Eval.eval_with}): union-based why-provenance at extent
+    granularity.  A generator source's skip markers ({!only_skips}) are
+    carried onto every element it yields.  Forgetting the lineage of a
+    result gives the plain evaluator's answer. *)

@@ -10,7 +10,6 @@ module Telemetry = Automed_telemetry.Telemetry
 module Resilience = Automed_resilience.Resilience
 module Reachability = Automed_analysis.Reachability
 module Lineage = Automed_provenance.Lineage
-module Peval = Automed_provenance.Peval
 module SS = Set.Make (String)
 
 type error = {
@@ -69,8 +68,8 @@ type t = {
   resilience : Resilience.t option;
   cache : (Value.Bag.t * SS.t) EH.t;
       (* cached bag plus the sources whose data it incorporates *)
-  pcache : ((Peval.entry list * Lineage.t) * SS.t) EH.t;
-      (* the annotated twin of [cache], for provenance runs *)
+  pcache : (Lineage.bag * SS.t) EH.t;
+      (* the lineage-annotated twin of [cache], for provenance runs *)
   pinfo : (Transform.pathway, Scheme.Set.t option) Hashtbl.t;
       (* reachability live set per stored pathway; None: never prune *)
   mutable visiting : string list; (* schemas on the derivation stack *)
@@ -383,96 +382,95 @@ let memo t cache ~schema o compute =
       if not frame.tainted then EH.replace cache (schema, o) (r, frame.srcs);
       r
 
-let hop_of (p : Transform.pathway) =
-  { Lineage.pathway = p.from_schema ^ "->" ^ p.to_schema;
-    steps = List.length p.steps }
-
 let non_collection ~schema e v =
   err "query %s over %s produced a non-collection %s" (Ast.to_string e) schema
     (Value.to_string v)
 
-(* Plain evaluation: the extent is the bag union of the stored extent and
-   every pathway's contribution. *)
-let rec extent_exn t ~schema o =
-  memo t t.cache ~schema o @@ fun () ->
-  let stored =
-    match fetch_stored_traced t ~schema o with
-    | `Stored b -> [ b ]
-    | `Absent | `Skipped _ -> []
-  in
-  contributions t ~schema o (fun p -> function
-    | `Defined e -> Some (eval_over t ~schema:p.from_schema e)
-    | `Pruned | `Undefined -> None)
-  |> List.append stored
-  |> List.fold_left Value.Bag.union Value.Bag.empty
+(* What a derivation walk annotates its extents with, and where it caches
+   them: the plain walk annotates nothing, the lineage walk cites each
+   stored extent (with the span id of the fetch that read it), every
+   skipped or evolved-away source and every pathway hop. *)
+type ('a, 'b) annotator = {
+  table : t -> ('b * SS.t) EH.t;
+  atom : string -> Scheme.t -> 'a;
+  skip : string -> skip_kind -> 'a;
+  hop : Transform.pathway -> 'a;
+}
 
-and plain_env t ~schema =
-  Eval.env ~schemes:(fun s -> Some (extent_exn t ~schema s)) ()
+let plain_annotator =
+  {
+    table = (fun t -> t.cache);
+    atom = (fun _ _ -> ());
+    skip = (fun _ _ -> ());
+    hop = (fun _ -> ());
+  }
 
-and eval_over t ~schema e =
-  match Eval.eval (plain_env t ~schema) e with
-  | Ok (Value.Bag b) -> b
-  | Ok v -> non_collection ~schema e v
-  | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
+let lineage_annotator =
+  {
+    table = (fun t -> t.pcache);
+    atom =
+      (fun source o ->
+        Lineage.atom ?span:(Telemetry.current_span_id ()) ~source o);
+    skip =
+      (fun source -> function
+        | Skip_faulty -> Lineage.skip source
+        | Skip_evolved -> Lineage.skip_evolved source);
+    hop =
+      (fun p ->
+        Lineage.add_hop
+          { pathway = p.from_schema ^ "->" ^ p.to_schema;
+            steps = List.length p.steps }
+          Lineage.empty);
+  }
 
-(* Annotated evaluation: the same walk over lineage-carrying bags.
-   Stored rows are tagged with their extent atom and the telemetry span
-   id of the fetch; every pathway crossing stamps a hop; a degraded-mode
-   skip leaves a marker in the ambient lineage. *)
-let rec extent_av t ~schema o : Peval.entry list * Lineage.t =
-  memo t t.pcache ~schema o @@ fun () ->
+(* The extent is the bag union of the stored extent and every pathway's
+   contribution, walked once for every instance of the evaluator. *)
+let rec extent : type a w b v.
+    (a, w, b, v) Eval.instance -> (a, b) annotator -> t -> schema:string ->
+    Scheme.t -> b =
+ fun k an t ~schema o ->
+  memo t (an.table t) ~schema o @@ fun () ->
+  let marker a = Eval.cite k a Value.Bag.empty in
   let base =
     match fetch_stored_traced t ~schema o with
-    | `Stored b ->
-        (* the atom is ambient too, so an empty stored extent is cited *)
-        let lin =
-          Lineage.atom ?span:(Telemetry.current_span_id ()) ~source:schema o
-        in
-        (List.map (fun (v, n) -> { Peval.v; n; lin }) b, lin)
-    | `Absent -> ([], Lineage.empty)
-    | `Skipped (_reason, Skip_faulty) -> ([], Lineage.skip schema)
-    | `Skipped (_reason, Skip_evolved) -> ([], Lineage.skip_evolved schema)
+    | `Stored b -> Eval.cite k (an.atom schema o) b
+    | `Absent -> marker (Eval.none k)
+    | `Skipped (_reason, kind) -> marker (an.skip schema kind)
   in
   contributions t ~schema o (fun p d ->
       let evolved = evolved_away t p in
+      let mark b =
+        if evolved then
+          Eval.union k b (marker (an.skip p.from_schema Skip_evolved))
+        else b
+      in
       match d with
       | `Pruned | `Undefined ->
-          if evolved then Some ([], Lineage.skip_evolved p.from_schema)
+          if evolved then Some (marker (an.skip p.from_schema Skip_evolved))
           else None
       | `Defined e ->
-          let es, amb = eval_over_av t ~schema:p.from_schema e in
-          let amb =
-            if evolved then
-              Lineage.union amb (Lineage.skip_evolved p.from_schema)
-            else amb
-          in
-          let hop = hop_of p in
-          Some
-            ( List.map
-                (fun (en : Peval.entry) ->
-                  { en with lin = Lineage.add_hop hop en.lin })
-                es,
-              Lineage.add_hop hop amb ))
-  |> List.fold_left
-       (fun (es, amb) (es', amb') ->
-         (Peval.merge_entries es es', Lineage.union amb amb'))
-       base
+          let b = eval_over k an t ~schema:p.from_schema e in
+          Some (Eval.stamp k (an.hop p) (mark b)))
+  |> List.fold_left (Eval.union k) base
 
-and annotated_env t ~schema =
-  Peval.env
-    ~schemes:(fun s ->
-      let es, amb = extent_av t ~schema s in
-      Some (Peval.abag es amb))
-    ()
+and env : type a w b v.
+    (a, w, b, v) Eval.instance -> (a, b) annotator -> t -> schema:string ->
+    (b, v) Eval.environment =
+ fun k an t ~schema ->
+  Eval.env ~schemes:(fun s -> Some (extent k an t ~schema s)) ()
 
-and eval_over_av t ~schema e =
-  match Peval.eval (annotated_env t ~schema) e with
-  | Ok (Peval.ABag (es, amb)) -> (es, amb)
-  | Ok av -> non_collection ~schema e (Peval.value_of av)
-  | Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
+and eval_over : type a w b v.
+    (a, w, b, v) Eval.instance -> (a, b) annotator -> t -> schema:string ->
+    Ast.expr -> b =
+ fun k an t ~schema e ->
+  match (k, Eval.eval_with k (env k an t ~schema) e) with
+  | _, Error e -> err "%s" (Fmt.str "%a" Eval.pp_error e)
+  | Eval.Plain, Ok (Value.Bag b) -> b
+  | Eval.Annotated _, Ok (Eval.Bag b) -> b
+  | _, Ok v -> non_collection ~schema e (Eval.forget k v)
 
 let extent_of t ~schema o =
-  match extent_exn t ~schema o with
+  match extent Eval.Plain plain_annotator t ~schema o with
   | bag -> Ok bag
   | exception Err e -> Error (add_context ~schema e)
 
@@ -496,7 +494,8 @@ let evaluate ~optimize t ~schema q eval =
       Error (add_context ~schema ~expr_size:(Ast.size !evaluated) e)
 
 let run_internal ~optimize t ~schema q =
-  evaluate ~optimize t ~schema q (Eval.eval (plain_env t ~schema))
+  evaluate ~optimize t ~schema q
+    (Eval.eval (env Eval.Plain plain_annotator t ~schema))
 
 let run ?(optimize = true) t ~schema q =
   Telemetry.with_span "processor.run" ~attrs:(fun () -> [ ("schema", schema) ])
@@ -522,23 +521,25 @@ type annotated = {
 let default_mac_key = "automed-provenance-v1"
 
 let run_provenance_internal ~optimize ~key t ~schema q =
-  evaluate ~optimize t ~schema q (Peval.eval (annotated_env t ~schema))
-  |> Result.map (fun av ->
-         let sign v lin = Lineage.sign ~key v lin in
-         let tuples =
-           match av with
-           | Peval.ABag (es, _) ->
-               List.map
-                 (fun (e : Peval.entry) ->
-                   { value = e.v; count = e.n; lineage = e.lin;
-                     mac = sign e.v e.lin })
-                 es
-           | Peval.Scalar (v, l) ->
-               [ { value = v; count = 1; lineage = l; mac = sign v l } ]
+  evaluate ~optimize t ~schema q
+    (Eval.eval_with Lineage.instance
+       (env Lineage.instance lineage_annotator t ~schema))
+  |> Result.map (fun v ->
+         let tuple value lineage =
+           { value; count = 1; lineage; mac = Lineage.sign ~key value lineage }
          in
-         { result = Peval.value_of av;
+         let tuples =
+           match v with
+           | Eval.Bag (es, _) ->
+               List.map
+                 (fun (value, (count, lineage)) ->
+                   { (tuple value lineage) with count })
+                 es
+           | Eval.Scalar (value, l) -> [ tuple value l ]
+         in
+         { result = Eval.forget Lineage.instance v;
            tuples;
-           lineage = Peval.lineage_of av })
+           lineage = Eval.annotation Lineage.instance v })
 
 let run_provenance ?(optimize = true) ?(key = default_mac_key) t ~schema q =
   Telemetry.with_span "processor.run"

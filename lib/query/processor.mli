@@ -27,13 +27,14 @@
     cycles in the pathway network.  The consumers differ only in what
     they do with a definition:
 
-    - {!run} evaluates it, and {!run_provenance} evaluates it through
-      the provenance-annotated shadow interpreter
-      ({!Automed_provenance.Peval}), returning the bit-identical answer
-      plus, per answer tuple, the {!Automed_provenance.Lineage.t} citing
-      the stored extents, pathway hops and telemetry spans the tuple
-      was derived from.  Both cache extents through the same [memo]
-      discipline, in two tables;
+    - {!run} evaluates it with the plain instance of the evaluator,
+      and {!run_provenance} with its lineage instance
+      ({!Automed_provenance.Lineage.instance}), returning the
+      bit-identical answer plus, per answer tuple, the
+      {!Automed_provenance.Lineage.t} citing the stored extents, pathway
+      hops and telemetry spans the tuple was derived from.  Both derive
+      extents by one walk, parameterised by the instance, and cache them
+      through the same [memo] discipline, in two tables;
     - {!reformulate} substitutes it into the query text;
     - {!explain_plan} records every decision without running the query:
       per source the reformulation tree, each reachability-pruning or
@@ -46,7 +47,6 @@ module Value = Automed_iql.Value
 module Repository = Automed_repository.Repository
 module Resilience = Automed_resilience.Resilience
 module Lineage = Automed_provenance.Lineage
-module Peval = Automed_provenance.Peval
 
 type t
 (** A processor wraps a repository with an extent cache. *)
@@ -151,11 +151,10 @@ val run_provenance :
   schema:string ->
   Ast.expr ->
   (annotated, error) result
-(** Like {!run}, but through the lineage-carrying shadow interpreter.
-    The [result] field is guaranteed bit-identical to {!run}'s answer:
-    scalar operator semantics are delegated to the reference evaluator
-    (see {!Automed_provenance.Peval}), and the suite checks the
-    equivalence by property.  Annotated extents are cached separately
+(** Like {!run}, but through the lineage instance of the evaluator.
+    The [result] field is bit-identical to {!run}'s answer: both
+    instances run the same rules (see {!Automed_iql.Eval}), and the
+    suite checks the equivalence by property.  Annotated extents are cached separately
     (same tainting discipline as the plain cache), so interleaving
     plain and provenance runs is safe. *)
 
@@ -213,7 +212,7 @@ val run_degraded_provenance :
   schema:string ->
   Ast.expr ->
   (annotated * completeness, error) result
-(** {!run_degraded} through the annotated interpreter.  A skipped
+(** {!run_degraded} through the lineage instance of the evaluator.  A skipped
     source leaves a skip marker in the lineage of every tuple that
     flowed through a bag it should have fed; the completeness report's
     [source_impact] counts those tuples per skipped source, answering

@@ -1,8 +1,8 @@
-(* Tuple-level lineage: the annotated evaluator agrees bit-for-bit with
-   the reference evaluator, lineages cite exactly the extents a tuple
-   rests on (sufficiency, checked by property), MACs detect forged
-   lineage, degraded runs report per-source impact, and explain_plan
-   tells the pruning story. *)
+(* Tuple-level lineage: the lineage instance of the evaluator, with its
+   annotations forgotten, agrees bit-for-bit with the plain instance,
+   lineages cite exactly the extents a tuple rests on (sufficiency,
+   checked by property), MACs detect forged lineage, degraded runs report
+   per-source impact, and explain_plan tells the pruning story. *)
 
 module Scheme = Automed_base.Scheme
 module Schema = Automed_model.Schema
@@ -20,7 +20,6 @@ module Policy = Resilience.Policy
 module Fault = Resilience.Fault
 module Microjson = Automed_telemetry.Microjson
 module Lineage = Automed_provenance.Lineage
-module Peval = Automed_provenance.Peval
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
@@ -76,7 +75,7 @@ let test_lineage_semilattice () =
 
 let test_lineage_json_and_mac () =
   let hop = { Lineage.pathway = "a->b"; steps = 3 } in
-  let l = Lineage.add_hop hop (Lineage.add_span 7 (atom "s1" t_obj)) in
+  let l = Lineage.add_hop hop (atom ~span:7 "s1" t_obj) in
   let json = Lineage.to_json l in
   (match Microjson.parse json with
   | Error e -> Alcotest.failf "lineage JSON does not parse: %s" e
@@ -102,18 +101,15 @@ let test_lineage_json_and_mac () =
   Alcotest.(check bool) "dropped hop" false
     (Lineage.verify ~key:"k" v dropped_hop mac)
 
-(* -- annotated evaluation mirrors the reference evaluator ----------------- *)
+(* -- the lineage instance forgets to the plain instance --------------------- *)
 
 (* binds: (object, weighted rows, lineage) *)
-let peval_env binds =
-  Peval.env
+let lineage_env binds =
+  Eval.env
     ~schemes:(fun s ->
       Option.map
         (fun (rows, lin) ->
-          Peval.abag
-            (Peval.canon
-               (List.map (fun (v, n) -> { Peval.v; n; lin }) rows))
-            lin)
+          Eval.cite Lineage.instance lin (Value.Bag.of_weighted_list rows))
         (List.assoc_opt s
            (List.map (fun (o, rows, lin) -> (o, (rows, lin))) binds)))
     ()
@@ -126,29 +122,31 @@ let eval_env binds =
            (List.map (fun (o, rows, _) -> (o, rows)) binds)))
     ()
 
+(* both instances share one set of rules, so they also fail alike *)
 let check_agrees binds text =
   let e = q text in
-  let reference =
+  let plain =
     match Eval.eval (eval_env binds) e with
     | Ok v -> Ok v
     | Error err -> Error err.Eval.message
   in
   let annotated =
-    match Peval.eval (peval_env binds) e with
-    | Ok av -> Ok (Peval.value_of av)
-    | Error err -> Error err.Peval.message
+    match Eval.eval_with Lineage.instance (lineage_env binds) e with
+    | Ok v -> Ok (Eval.forget Lineage.instance v)
+    | Error err -> Error err.Eval.message
   in
-  match (reference, annotated) with
+  match (plain, annotated) with
   | Ok v1, Ok v2 ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: same value" text)
         true (Value.equal v1 v2)
-  | Error _, Error _ -> () (* both reject; messages may differ in detail *)
+  | Error e1, Error e2 ->
+      Alcotest.(check string) (Printf.sprintf "%s: same error" text) e1 e2
   | Ok v, Error e ->
-      Alcotest.failf "%s: reference %s but annotated fails with %s" text
+      Alcotest.failf "%s: plain %s but annotated fails with %s" text
         (Value.to_string v) e
   | Error e, Ok v ->
-      Alcotest.failf "%s: annotated %s but reference fails with %s" text
+      Alcotest.failf "%s: annotated %s but plain fails with %s" text
         (Value.to_string v) e
 
 let std_binds =
@@ -157,9 +155,49 @@ let std_binds =
     (u_obj, [ (v_str "b", 1); (v_str "c", 3) ], atom "s2" u_obj);
   ]
 
-let test_peval_agrees_with_eval () =
+(* the sources a query's annotated result cites, overall and per element *)
+let check_cites binds text ~all ~each =
+  let v =
+    match Eval.eval_with Lineage.instance (lineage_env binds) (q text) with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %a" text Eval.pp_error e
+  in
+  Alcotest.(check (list string)) (text ^ ": cites") all
+    (Lineage.sources (Eval.annotation Lineage.instance v));
+  match v with
+  | Eval.Bag (es, _) ->
+      List.iter
+        (fun (x, (_, lin)) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: %s cites" text (Value.to_string x))
+            each (Lineage.sources lin))
+        es
+  | Eval.Scalar _ -> ()
+
+let test_lineage_agrees_with_plain () =
+  (* every annotation hook: the condition of [if] stamps the branch taken,
+     short-circuit [and]/[or] cite only what they evaluated, [--] cites an
+     empty subtrahend, a filter cites what it reads *)
+  check_cites std_binds "if count(<<u>>) > 0 then <<t>> else []"
+    ~all:[ "s1"; "s2" ] ~each:[ "s1"; "s2" ];
+  check_cites std_binds "count(<<t>>) < 0 and count(<<u>>) > 0" ~all:[ "s1" ]
+    ~each:[];
+  check_cites std_binds "count(<<t>>) > 0 or count(<<u>>) > 0" ~all:[ "s1" ]
+    ~each:[];
+  check_cites std_binds "<<t>> -- [x | x <- <<u>>; x = 'z']"
+    ~all:[ "s1"; "s2" ] ~each:[ "s1" ];
+  check_cites std_binds "[x | x <- <<t>>; member(x, <<u>>)]"
+    ~all:[ "s1"; "s2" ] ~each:[ "s1"; "s2" ];
   List.iter (check_agrees std_binds)
     [
+      "if count(<<u>>) > 0 then <<t>> else []";
+      "count(<<t>>) < 0 and count(<<u>>) > 0";
+      "count(<<t>>) > 0 or count(<<u>>) > 0";
+      "<<t>> -- [x | x <- <<u>>; x = 'z']";
+      "[x | x <- <<t>>; member(x, <<u>>)]";
+      "1 / 0 + nope" (* left operand fails first in both *);
+      "<<t>> ++ 1";
+      "[x | x <- 3]";
       "<<t>>";
       "<<t>> ++ <<u>>";
       "<<t>> -- <<u>>";
@@ -190,9 +228,9 @@ let weighted_rows rows =
       Value.Bag.add ~count:n (v_str (Printf.sprintf "r%d" k)) b)
     Value.Bag.empty rows
 
-let test_peval_qcheck_agrees =
-  (* random small bags under a fixed query pool: the annotated
-     evaluator's value projection must match the reference evaluator *)
+let test_lineage_qcheck_agrees =
+  (* random small bags under a fixed query pool: the lineage instance's
+     results, annotations forgotten, must match the plain instance's *)
   let gen =
     QCheck.Gen.(
       pair
@@ -206,7 +244,7 @@ let test_peval_qcheck_agrees =
     in
     side a ^ " | " ^ side b
   in
-  QCheck.Test.make ~count:100 ~name:"peval agrees with eval (random bags)"
+  QCheck.Test.make ~count:100 ~name:"lineage agrees with plain (random)"
     (QCheck.make ~print gen)
     (fun (rows1, rows2) ->
       let binds =
@@ -612,6 +650,92 @@ let test_ispider_provenance_and_explain () =
         again.Processor.ex_roots)
     Queries.all
 
+(* -- lineage pinned over the case study ----------------------------------- *)
+
+(* One MD5 over every tuple's (value, count, lineage JSON) and the
+   answer-level lineage.  No telemetry sink is installed, so atoms carry
+   no span ids and the digests are the same on every run. *)
+let lineage_digest (ann : Processor.annotated) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (tp : Processor.annotated_tuple) ->
+      Buffer.add_string b (Value.to_string tp.value);
+      Buffer.add_char b '\x00';
+      Buffer.add_string b (string_of_int tp.count);
+      Buffer.add_char b '\x00';
+      Buffer.add_string b (Lineage.to_json tp.lineage);
+      Buffer.add_char b '\n')
+    ann.tuples;
+  Buffer.add_string b (Lineage.to_json ann.lineage);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* recorded before the two evaluators were folded into one *)
+let pinned_complete =
+  [
+    (1, "d9a9274cc26110d9f19fa3eebaaf3d2c");
+    (2, "9865dbaeb0498f228e672b3dcf54c79a");
+    (3, "4e42287e3de3ca082044427dde986dc5");
+    (4, "41c32881a2b79ff01a7a8aeb87f45ea6");
+    (5, "76f1bb91d946b085e07ff13565a5c380");
+    (6, "731d0c8213a2b177417a26e019f5b5d2");
+    (7, "d3a8337f9ddb691a877e67c302caa912");
+    (8, "871b6737e81b400d31aa686d2eeecaa7");
+  ]
+
+let pinned_degraded =
+  [
+    (1, "fe44ef83ca4cff0b84a03535683881df");
+    (2, "8e358dfc7bad860ac55712fc1e267e5d");
+    (3, "0e1aed23e2b7b281c2c3c6fe4f4d2752");
+    (4, "dea80ae09a51a2edcc2f101a82d57e3b");
+    (5, "dea80ae09a51a2edcc2f101a82d57e3b");
+    (6, "4db602d69f9579d4dc6afcda284314cc");
+    (7, "d3a8337f9ddb691a877e67c302caa912");
+    (8, "b2091fd0bd8dc2063303d8dc6b8c8b2c");
+  ]
+
+let test_ispider_lineage_pinned () =
+  let module Sources = Automed_ispider.Sources in
+  let module Queries = Automed_ispider.Queries in
+  let module Intersection_run = Automed_ispider.Intersection_run in
+  let res = Resilience.create ~policy:fail_fast () in
+  let repo = Repository.create () in
+  ok (Sources.wrap_all ~resilience:res repo (Sources.generate ()));
+  let run = ok (Intersection_run.execute ~resilience:res repo) in
+  let wf = run.Intersection_run.workflow in
+  (* query 8 is a probe: its filter reads an extent no generator reads,
+     so only the filter's lineage join can cite it *)
+  let probe =
+    Printf.sprintf
+      "[{s,k} | {s,k,a} <- <<UProtein,accession_num>>; a = '%s'; \
+       count(<<UPeptideHit,sequence>>) > 0]"
+      Sources.Known.accession
+  in
+  let digests f =
+    List.map
+      (fun (n, text) -> (n, lineage_digest (f text)))
+      (List.map
+         (fun (query : Queries.query) ->
+           (query.Queries.number, query.Queries.global_text))
+         Queries.all
+      @ [ (8, probe) ])
+  in
+  let complete =
+    digests (fun text -> ok_p (Workflow.run_query_provenance wf text))
+  in
+  Resilience.inject res ~source:"pedro" (Fault.rate 1.0);
+  let p = Workflow.processor wf and schema = Workflow.global_name wf in
+  let degraded =
+    digests (fun text ->
+        Processor.invalidate p;
+        fst (ok_p (Processor.run_degraded_provenance p ~schema (q text))))
+  in
+  Resilience.inject res ~source:"pedro" Fault.none;
+  Alcotest.(check (list (pair int string))) "complete runs" pinned_complete
+    complete;
+  Alcotest.(check (list (pair int string))) "pedro skipped" pinned_degraded
+    degraded
+
 (* -- federated member report ---------------------------------------------- *)
 
 let test_member_report () =
@@ -650,9 +774,9 @@ let suite =
     Alcotest.test_case "lineage semilattice" `Quick test_lineage_semilattice;
     Alcotest.test_case "lineage json + mac forgery" `Quick
       test_lineage_json_and_mac;
-    Alcotest.test_case "peval agrees with eval" `Quick
-      test_peval_agrees_with_eval;
-    QCheck_alcotest.to_alcotest test_peval_qcheck_agrees;
+    Alcotest.test_case "lineage agrees with plain" `Quick
+      test_lineage_agrees_with_plain;
+    QCheck_alcotest.to_alcotest test_lineage_qcheck_agrees;
     Alcotest.test_case "run_provenance end to end" `Quick
       test_run_provenance_end_to_end;
     Alcotest.test_case "plain/annotated cache interleaving" `Quick
@@ -666,5 +790,7 @@ let suite =
     Alcotest.test_case "explain plan" `Quick test_explain_plan;
     Alcotest.test_case "ispider provenance + explain (7 queries)" `Quick
       test_ispider_provenance_and_explain;
+    Alcotest.test_case "ispider lineage digests pinned" `Quick
+      test_ispider_lineage_pinned;
     Alcotest.test_case "federated member report" `Quick test_member_report;
   ]
