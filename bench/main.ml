@@ -1925,21 +1925,15 @@ let run_maintenance_only () =
   write_maintenance_snapshot "BENCH_maintain.json" outcome;
   Printf.printf "wrote BENCH_maintain.json (E-M1 snapshot)\n"
 
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "evolution" then (
-    run_evolution_only ();
-    append_history ~mode:"evolution";
-    exit 0);
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "maintenance" then (
-    run_maintenance_only ();
-    append_history ~mode:"maintenance";
-    exit 0);
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "diff" then (
-    let strict_wall =
-      Array.exists (fun a -> a = "--strict-wall") Sys.argv
-    in
-    run_diff ~strict_wall ();
-    exit 0);
+(* [bench/main.exe durability] runs only E-D1, so its snapshot can be
+   regenerated without rewriting every other one. *)
+let run_durability_only () =
+  let durability = with_telemetry "E-D1" durability_outcome in
+  experiment_durability durability;
+  write_durability_snapshot "BENCH_durability.json" durability;
+  Printf.printf "wrote BENCH_durability.json (E-D1 snapshot)\n"
+
+let run_all () =
   with_telemetry "E-T1" experiment_table1;
   with_telemetry "E-CS1" experiment_counts;
   with_telemetry "E-CS2" experiment_payg;
@@ -1949,10 +1943,7 @@ let () =
   experiment_resilience resilience;
   write_resilience_snapshot "BENCH_resilience.json" resilience;
   Printf.printf "wrote BENCH_resilience.json (E-R1 snapshot)\n";
-  let durability = with_telemetry "E-D1" durability_outcome in
-  experiment_durability durability;
-  write_durability_snapshot "BENCH_durability.json" durability;
-  Printf.printf "wrote BENCH_durability.json (E-D1 snapshot)\n";
+  run_durability_only ();
   let pruning = with_telemetry "E-S1" pruning_outcome in
   experiment_pruning pruning;
   write_pruning_snapshot "BENCH_analysis.json" pruning;
@@ -1970,3 +1961,26 @@ let () =
   Printf.printf "\nwrote BENCH_telemetry.json (per-experiment metric snapshots)\n";
   append_history ~mode:"full";
   Printf.printf "all experiments completed.\n"
+
+(* [bench/main.exe NAME] runs one entry; no argument runs them all *)
+let entries =
+  let logged mode run () =
+    run ();
+    append_history ~mode
+  in
+  [
+    ("all", run_all);
+    ("evolution", logged "evolution" run_evolution_only);
+    ("maintenance", logged "maintenance" run_maintenance_only);
+    ("durability", run_durability_only);
+    ( "diff",
+      fun () -> run_diff ~strict_wall:(Array.mem "--strict-wall" Sys.argv) () );
+  ]
+
+let () =
+  let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  match List.assoc_opt name entries with
+  | Some run -> run ()
+  | None ->
+      die "unknown entry %S; expected one of: %s" name
+        (String.concat ", " (List.map fst entries))

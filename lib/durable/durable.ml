@@ -10,25 +10,27 @@ let journal_file = "journal.wal"
 let checkpoint_file = "checkpoint.str"
 let checkpoint_tmp = "checkpoint.tmp"
 
+(* [journal_bytes] is tracked rather than read from the store: the
+   health observatory and the maintenance tick poll it every cycle, and
+   re-reading the whole journal on each poll cost more than the rest of
+   the tick. *)
 type t = {
   repo : Repository.t;
   vfs : Vfs.t;
   mutable appended : int;
+  mutable journal_bytes : int;
 }
 
 let repository t = t.repo
 let vfs t = t.vfs
 let appended t = t.appended
+let journal_bytes t = t.journal_bytes
 
-(* Bytes accumulated in the journal since the last checkpoint — the
-   repair-debt input of the health observatory.  Read from the store
-   rather than tracked in memory so it is also right after [recover]. *)
-let journal_bytes t =
-  if not (t.vfs.exists journal_file) then 0
-  else
-    match Journal.read t.vfs ~file:journal_file with
-    | Ok scan -> scan.Journal.total_bytes
-    | Error _ -> 0
+(* the store's view: 0 when the journal is absent or unreadable *)
+let stored_journal_bytes (vfs : Vfs.t) =
+  match vfs.read journal_file with
+  | Ok contents -> String.length contents
+  | Error _ -> 0
 
 (* -- checkpoint format --------------------------------------------------- *)
 
@@ -72,8 +74,11 @@ let observer t op =
   match Journal.append t.vfs ~file:journal_file payload with
   | Ok () ->
       t.appended <- t.appended + 1;
+      t.journal_bytes <-
+        t.journal_bytes + Journal.header_bytes + String.length payload;
       Telemetry.count "durable.append"
   | Error e ->
+      t.journal_bytes <- stored_journal_bytes t.vfs;
       raise (Journal_error (Printf.sprintf "journal append failed: %s" e))
 
 let install t = Repository.set_observer t.repo (Some (observer t))
@@ -88,6 +93,7 @@ let snapshot t =
   let* () = t.vfs.rename ~old_name:checkpoint_tmp ~new_name:checkpoint_file in
   (* the checkpoint is committed; the journal is now redundant *)
   let* () = t.vfs.write journal_file "" in
+  t.journal_bytes <- 0;
   let* () = t.vfs.sync journal_file in
   t.appended <- 0;
   Telemetry.count "durable.snapshot";
@@ -100,7 +106,9 @@ let attach vfs repo =
   if Repository.observed repo then
     Error "repository already has an observer (attached twice?)"
   else begin
-    let t = { repo; vfs; appended = 0 } in
+    let t =
+      { repo; vfs; appended = 0; journal_bytes = stored_journal_bytes vfs }
+    in
     install t;
     if (not (vfs.exists checkpoint_file)) && Repository.schemas repo <> []
     then
@@ -178,7 +186,14 @@ let recover vfs =
         let* () = Journal.truncate vfs ~file:journal_file ~keep in
         Ok (scan.total_bytes - keep)
   in
-  let t = { repo; vfs; appended = replayed } in
+  let t =
+    {
+      repo;
+      vfs;
+      appended = replayed;
+      journal_bytes = scan.total_bytes - truncated_bytes;
+    }
+  in
   install t;
   Ok
     ( t,

@@ -34,11 +34,15 @@ val appended : t -> int
 (** Journal records appended through this handle (resets on snapshot). *)
 
 val journal_bytes : t -> int
-(** Bytes sitting in the journal since the last checkpoint, read from
-    the store itself (so it is also right after {!recover}); 0 when the
-    journal is absent or unreadable.  One of the repair-debt indicators
-    of the health observatory: growth here is replay work the next
-    recovery must pay until a {!snapshot} retires it. *)
+(** Bytes sitting in the journal since the last checkpoint, tracked by
+    the handle so reading it costs nothing: {!attach} reads the store
+    once (0 when the journal is absent or unreadable), {!recover} takes
+    the size it left after any truncation, every append adds its framed
+    record, {!snapshot} zeroes it, and a failed append re-reads it from
+    the store.  It equals the journal's size as long as nothing but this
+    handle writes the journal.  One of the repair-debt indicators of the
+    health observatory: growth here is replay work the next recovery
+    must pay until a {!snapshot} retires it. *)
 
 val attach :
   Vfs.t -> Automed_repository.Repository.t -> (t, string) result

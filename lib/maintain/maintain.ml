@@ -478,6 +478,7 @@ module Scheduler = struct
     t.tick_count <- t.tick_count + 1;
     Telemetry.count "maintain.scheduler_ticks";
     let report =
+      Telemetry.with_span "maintain.assess" @@ fun () ->
       Health.assess ~config:t.policy.health ?resilience ?durable ?metrics wf
     in
     if (not t.compact_armed) && cleared t report "chain-depth" then
@@ -498,7 +499,9 @@ module Scheduler = struct
       | Some ind when t.compact_armed -> (
         t.compact_armed <- false;
         let trig = trigger report ind in
-        let* result = compact wf in
+        let* result =
+          Telemetry.with_span "maintain.compact" (fun () -> compact wf)
+        in
         match result with
         | Compacted c ->
             note
@@ -533,7 +536,9 @@ module Scheduler = struct
       match reclaim_trigger with
       | Some trig when cooldown_ok ->
           t.last_reclaim <- t.tick_count;
-          let* r = reclaim wf in
+          let* r =
+            Telemetry.with_span "maintain.reclaim" (fun () -> reclaim wf)
+          in
           note
             (record t Reclaim trig
                (Printf.sprintf
@@ -563,7 +568,10 @@ module Scheduler = struct
               (Durable.journal_bytes d)
               t.policy.health.Health.journal_bytes.Health.warn
           in
-          let* () = Durable.snapshot d in
+          let* () =
+            Telemetry.with_span "maintain.checkpoint" (fun () ->
+                Durable.snapshot d)
+          in
           Telemetry.count "maintain.checkpoints";
           note (record t Checkpoint trig "journal compacted into checkpoint");
           Ok ()

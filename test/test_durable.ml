@@ -38,6 +38,43 @@ let test_crc_known_answer () =
   Alcotest.(check string) "incremental" "cbf43926"
     (Crc32.to_hex (Crc32.digest ~crc:half "6789"))
 
+(* The polynomial loop itself, one bit at a time and with no table: the
+   reference the slicing-by-8 kernel must agree with. *)
+let crc_reference ?(crc = 0l) s =
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* strings of every length mod 8 (the kernel's eight-byte body plus its
+   byte-wise tail), a cut point to chain through [~crc], and a seed CRC *)
+let qcheck_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* words = int_bound 12 and* rem = int_bound 7 in
+      let* s = string_size ~gen:char (return ((8 * words) + rem)) in
+      let* cut = int_bound (String.length s) and* seed = ui32 in
+      return (s, cut, seed))
+  in
+  let print (s, cut, seed) =
+    Printf.sprintf "%S cut %d seed %08lx" s cut seed
+  in
+  QCheck.Test.make ~name:"crc32 equals the bit-at-a-time reference"
+    ~count:500 (QCheck.make ~print gen) (fun (s, cut, seed) ->
+      let a = String.sub s 0 cut
+      and b = String.sub s cut (String.length s - cut) in
+      Crc32.digest s = crc_reference s
+      && Crc32.digest ~crc:(Crc32.digest a) b = crc_reference s
+      && Crc32.digest ~crc:seed s = crc_reference ~crc:seed s)
+
 (* -- journal framing ------------------------------------------------------ *)
 
 let test_journal_roundtrip () =
@@ -504,6 +541,83 @@ let test_ispider_recovery_end_to_end () =
       | _ -> Alcotest.failf "query %d failed" q.Queries.number)
     Queries.all
 
+(* -- the tracked journal size ---------------------------------------------- *)
+
+let check_journal_bytes what d =
+  let vfs = Durable.vfs d in
+  Alcotest.(check int) what
+    (ok (Journal.read vfs ~file:Durable.journal_file)).Journal.total_bytes
+    (Durable.journal_bytes d)
+
+let test_journal_bytes_tracks_store () =
+  let vfs, _journal, _scan, _states = scripted_run () in
+  (* an empty repository attached to a store that holds a journal *)
+  let d = ok (Durable.attach vfs (Repository.create ())) in
+  check_journal_bytes "attach to an existing journal" d;
+  Alcotest.(check bool) "the journal is not empty" true
+    (Durable.journal_bytes d > 0);
+  Durable.detach d;
+  let repo = Repository.create () in
+  let d = ok (Durable.attach (Vfs.memory ()) repo) in
+  List.iter
+    (fun op ->
+      op ();
+      check_journal_bytes "after each append" d)
+    (scripted_ops repo);
+  ok (Durable.snapshot d);
+  check_journal_bytes "after snapshot" d;
+  Alcotest.(check int) "snapshot empties the journal" 0
+    (Durable.journal_bytes d)
+
+let test_journal_bytes_after_recover () =
+  let _vfs, journal, scan, _states = scripted_run () in
+  (* a torn tail, truncated away *)
+  let off, payload = List.nth scan.Journal.records 2 in
+  let cut = off + Journal.header_bytes + (String.length payload / 2) in
+  let d, report = recover_journal_bytes (String.sub journal 0 cut) in
+  Alcotest.(check bool) "torn tail truncated" true
+    (report.Durable.truncated_bytes > 0);
+  check_journal_bytes "after truncating a torn tail" d;
+  (* an intact record whose payload is no operation, dropped with its
+     suffix *)
+  let store = Vfs.memory () in
+  ok (Vfs.(store.write) Durable.journal_file journal);
+  ok (Journal.append store ~file:Durable.journal_file "not an operation");
+  ok (Journal.append store ~file:Durable.journal_file "nor this");
+  let d, report = ok (Durable.recover store) in
+  Alcotest.(check bool) "unreplayable record dropped" true
+    (report.Durable.truncated_bytes > 0);
+  check_journal_bytes "after dropping an unreplayable record" d;
+  Alcotest.(check int) "back to the intact journal" (String.length journal)
+    (Durable.journal_bytes d)
+
+let test_journal_bytes_after_failed_append () =
+  (* an append that stores a torn prefix and then reports failure, like
+     a write that runs out of space part-way *)
+  let inner = Vfs.memory () in
+  let failing = ref false in
+  let vfs =
+    {
+      inner with
+      Vfs.append =
+        (fun name data ->
+          if !failing then begin
+            ignore (inner.Vfs.append name (String.sub data 0 5));
+            Error "injected append failure"
+          end
+          else inner.Vfs.append name data);
+    }
+  in
+  let repo = Repository.create () in
+  let d = ok (Durable.attach vfs repo) in
+  let ops = scripted_ops repo in
+  List.iteri (fun i op -> if i < 3 then op ()) ops;
+  failing := true;
+  (match (List.nth ops 3) () with
+  | () -> Alcotest.fail "the append should have failed"
+  | exception Durable.Journal_error _ -> ());
+  check_journal_bytes "after a failed append" d
+
 (* -- telemetry ------------------------------------------------------------ *)
 
 let test_telemetry_counters () =
@@ -525,6 +639,7 @@ let test_telemetry_counters () =
 let suite =
   [
     Alcotest.test_case "crc32 known answers" `Quick test_crc_known_answer;
+    QCheck_alcotest.to_alcotest qcheck_crc_matches_reference;
     Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal missing file" `Quick test_journal_missing_file;
     Alcotest.test_case "journal torn and corrupt tails" `Quick
@@ -551,5 +666,11 @@ let suite =
       test_workflow_rejects_foreign_durable;
     Alcotest.test_case "iSpider journal recovery end to end" `Slow
       test_ispider_recovery_end_to_end;
+    Alcotest.test_case "journal bytes track the store" `Quick
+      test_journal_bytes_tracks_store;
+    Alcotest.test_case "journal bytes after recover" `Quick
+      test_journal_bytes_after_recover;
+    Alcotest.test_case "journal bytes after a failed append" `Quick
+      test_journal_bytes_after_failed_append;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
   ]
