@@ -21,6 +21,7 @@ module Parser = Automed_iql.Parser
 module Value = Automed_iql.Value
 module Transform = Automed_transform.Transform
 module Repository = Automed_repository.Repository
+module Serialize = Automed_repository.Serialize
 module Processor = Automed_query.Processor
 module Federated = Automed_integration.Federated
 module Intersection = Automed_integration.Intersection
@@ -659,9 +660,12 @@ let write_resilience_snapshot path outcomes =
    executed with a durable handle attached to an in-memory store, the
    resulting journal's payloads are re-appended in a tight loop for the
    throughput number, and recovery is timed at growing journal prefixes
-   (no checkpoint, so every record replays).  After full recovery the
-   seven priority queries run against the recovered repository and are
-   checked against ground truth. *)
+   (no checkpoint, so every record replays).  Every record is decoded
+   and re-encoded, which must reproduce its payload byte for byte (the
+   run exits 1 otherwise), and the re-encoding is timed for the codec's
+   encode throughput.  After full recovery the seven priority queries run
+   against the recovered repository and are checked against ground
+   truth. *)
 
 type recover_point = {
   rp_records : int;
@@ -676,6 +680,8 @@ type durability_outcome = {
   baseline_integrate_ms : float;  (** same run, no durable handle *)
   append_ops_per_sec : float;
   append_mb_per_sec : float;
+  encode_ops_per_sec : float;  (** [Serialize.save_op] on decoded records *)
+  encode_mb_per_sec : float;
   recover_points : recover_point list;
   queries_ok : int;
   queries_total : int;
@@ -712,6 +718,28 @@ let durability_outcome () =
   let append_ops_per_sec = float_of_int total_ops /. append_s in
   let append_mb_per_sec =
     float_of_int (rounds * journal_bytes) /. append_s /. 1048576.0
+  in
+  (* the codec reproduces every record; then its encode throughput *)
+  let ops =
+    List.mapi
+      (fun i payload ->
+        let op = ok (Serialize.load_op payload) in
+        if Serialize.save_op op <> payload then
+          die "E-D1: record %d does not re-encode to its stored payload" i;
+        op)
+      payloads
+  in
+  let t0 = Telemetry.wall_clock () in
+  for _ = 1 to rounds do
+    List.iter (fun op -> ignore (Serialize.save_op op)) ops
+  done;
+  let encode_s = Telemetry.wall_clock () -. t0 in
+  let payload_bytes =
+    List.fold_left (fun acc p -> acc + String.length p) 0 payloads
+  in
+  let encode_ops_per_sec = float_of_int total_ops /. encode_s in
+  let encode_mb_per_sec =
+    float_of_int (rounds * payload_bytes) /. encode_s /. 1048576.0
   in
   (* recovery replay time vs journal length *)
   let journal = ok (Vfs.(vfs.read) Durable.journal_file) in
@@ -764,6 +792,8 @@ let durability_outcome () =
     baseline_integrate_ms;
     append_ops_per_sec;
     append_mb_per_sec;
+    encode_ops_per_sec;
+    encode_mb_per_sec;
     recover_points;
     queries_ok;
     queries_total = List.length Queries.all;
@@ -777,6 +807,10 @@ let experiment_durability o =
     o.journaled_ops o.journal_bytes o.integrate_ms o.baseline_integrate_ms;
   Printf.printf "  raw append throughput: %.0f ops/s, %.1f MiB/s\n"
     o.append_ops_per_sec o.append_mb_per_sec;
+  Printf.printf
+    "  record encode throughput: %.0f ops/s, %.1f MiB/s (all %d records \
+     re-encode byte for byte)\n"
+    o.encode_ops_per_sec o.encode_mb_per_sec o.journaled_ops;
   Printf.printf "  recovery replay time vs journal length:\n";
   List.iter
     (fun p ->
@@ -813,11 +847,14 @@ let write_durability_snapshot path o =
         \  \"baseline_integrate_ms\": %.1f,\n\
         \  \"append_ops_per_sec\": %.0f,\n\
         \  \"append_mb_per_sec\": %.2f,\n\
+        \  \"encode_ops_per_sec\": %.0f,\n\
+        \  \"encode_mb_per_sec\": %.2f,\n\
         \  \"recovery\": [%s],\n\
         \  \"queries_after_recovery\": {\"ok\": %d, \"total\": %d}\n\
          }\n"
         o.journaled_ops o.journal_bytes o.integrate_ms o.baseline_integrate_ms
-        o.append_ops_per_sec o.append_mb_per_sec points o.queries_ok
+        o.append_ops_per_sec o.append_mb_per_sec o.encode_ops_per_sec
+        o.encode_mb_per_sec points o.queries_ok
         o.queries_total)
 
 (* -- E-P*: Bechamel micro-benchmarks -------------------------------------- *)

@@ -26,17 +26,26 @@ let compare a b =
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-let pp_args ppf args = Fmt.(list ~sep:(any ",") string) ppf args
+let to_buffer buf s =
+  Buffer.add_string buf "<<";
+  if
+    not
+      (s.language = "sql"
+      && (s.construct = "table" || s.construct = "column"))
+  then begin
+    Buffer.add_string buf s.language;
+    Buffer.add_char buf ',';
+    Buffer.add_string buf s.construct;
+    Buffer.add_char buf ','
+  end;
+  Strutil.add_list buf ~enclose:("", ">>") ~sep:"," Buffer.add_string s.args
 
-let pp_full ppf s =
-  Fmt.pf ppf "<<%s,%s,%a>>" s.language s.construct pp_args s.args
+let to_string s =
+  let buf = Buffer.create 32 in
+  to_buffer buf s;
+  Buffer.contents buf
 
-let pp ppf s =
-  if s.language = "sql" && (s.construct = "table" || s.construct = "column")
-  then Fmt.pf ppf "<<%a>>" pp_args s.args
-  else pp_full ppf s
-
-let to_string s = Fmt.to_to_string pp s
+let pp ppf s = Fmt.string ppf (to_string s)
 
 let of_string str =
   let str = String.trim str in

@@ -33,15 +33,14 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
-val pp : t Fmt.t
-(** Prints in elided form [<<protein,organism>>] when the scheme belongs to
-    the relational language, and in full form [<<xml,element,...>>]
-    otherwise. *)
-
-val pp_full : t Fmt.t
-(** Always prints language and construct. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the printed form: elided [<<protein,organism>>] when the
+    scheme belongs to the relational language, full
+    [<<xml,element,...>>] otherwise.  The one printer; {!to_string} and
+    {!pp} are derived from it. *)
 
 val to_string : t -> string
+val pp : t Fmt.t
 
 val of_string : string -> (t, string) result
 (** Parses both the elided and the full printed forms. *)

@@ -69,3 +69,12 @@ let contains_sub ~sub s =
   else
     let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
     go 0
+
+let add_list buf ?(enclose = ("", "")) ~sep add xs =
+  Buffer.add_string buf (fst enclose);
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf sep;
+      add buf x)
+    xs;
+  Buffer.add_string buf (snd enclose)

@@ -20,3 +20,14 @@ val pad : int -> string -> string
 
 val starts_with : prefix:string -> string -> bool
 val contains_sub : sub:string -> string -> bool
+
+val add_list :
+  Buffer.t ->
+  ?enclose:string * string ->
+  sep:string ->
+  (Buffer.t -> 'a -> unit) ->
+  'a list ->
+  unit
+(** [add_list buf ~enclose:(l, r) ~sep add xs] appends [l], each element
+    of [xs] with [add] and [sep] between consecutive ones, then [r]
+    ([enclose] defaults to nothing). *)

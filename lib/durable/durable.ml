@@ -36,9 +36,9 @@ let stored_journal_bytes (vfs : Vfs.t) =
 
 let render_checkpoint repo =
   let body = Serialize.save ~extents:true repo in
-  Printf.sprintf "checkpoint v1 len=%d crc32=%s\n%s" (String.length body)
+  Printf.sprintf "checkpoint v1 len=%d crc32=%s\n" (String.length body)
     (Crc32.to_hex (Crc32.digest body))
-    body
+  ^ body
 
 let parse_checkpoint contents =
   match String.index_opt contents '\n' with
@@ -69,7 +69,10 @@ let parse_checkpoint contents =
 
 (* -- journaling observer ------------------------------------------------- *)
 
+(* spanned as [durable.append], so a traced write path shows the record's
+   encoding and append apart from the mutation that notified it *)
 let observer t op =
+  Telemetry.with_span "durable.append" @@ fun () ->
   let payload = Serialize.save_op op in
   match Journal.append t.vfs ~file:journal_file payload with
   | Ok () ->
@@ -281,7 +284,7 @@ let describe_op payload =
             (List.length Automed_transform.Transform.(p_new.steps))
       | Repository.Op_set_extent (schema, scheme, bag) ->
           Printf.sprintf "set extent %s %s (%d values)" schema
-            (Fmt.str "%a" Automed_base.Scheme.pp scheme)
+            (Automed_base.Scheme.to_string scheme)
             (Automed_iql.Value.Bag.cardinal bag)
       | Repository.Op_remove_schema name ->
           Printf.sprintf "remove schema %s" name
@@ -293,7 +296,7 @@ let describe_op payload =
             Automed_transform.Transform.(p.to_schema)
             (List.length Automed_transform.Transform.(p.steps))
       | Repository.Op_alter_schema (name, alter) -> (
-          let scheme = Fmt.str "%a" Automed_base.Scheme.pp in
+          let scheme = Automed_base.Scheme.to_string in
           match alter with
           | Repository.Alter_add_object (o, _) ->
               Printf.sprintf "evolve: alter %s, add object %s" name (scheme o)

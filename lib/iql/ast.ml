@@ -192,29 +192,46 @@ let binop_info = function
   | Mul -> (6, "*")
   | Div -> (6, "/")
 
-let rec pp_prec prec ppf e =
+let add = Buffer.add_string
+
+(* [body] at its own level [p], parenthesised where the context binds
+   tighter *)
+let paren buf prec p body =
+  if prec > p then begin
+    Buffer.add_char buf '(';
+    body ();
+    Buffer.add_char buf ')'
+  end
+  else body ()
+
+let list = Automed_base.Strutil.add_list
+
+let rec to_buffer_prec prec buf e =
   match e with
-  | Const v -> Value.pp ppf v
-  | Var x -> Fmt.string ppf x
-  | SchemeRef s -> Scheme.pp ppf s
-  | Void -> Fmt.string ppf "Void"
-  | Any -> Fmt.string ppf "Any"
-  | Tuple es -> Fmt.pf ppf "{%a}" (pp_list 0) es
-  | EBag es -> Fmt.pf ppf "[%a]" (pp_seq 0) es
+  | Const v -> Value.to_buffer buf v
+  | Var x -> add buf x
+  | SchemeRef s -> Scheme.to_buffer buf s
+  | Void -> add buf "Void"
+  | Any -> add buf "Any"
+  | Tuple es -> list buf ~enclose:("{", "}") ~sep:", " (to_buffer_prec 0) es
+  | EBag es -> list buf ~enclose:("[", "]") ~sep:"; " (to_buffer_prec 0) es
   | Comp (h, qs) ->
-      Fmt.pf ppf "[%a | %a]" (pp_prec 0) h
-        Fmt.(list ~sep:(any "; ") pp_qual)
-        qs
-  | App (f, es) -> Fmt.pf ppf "%s(%a)" f (pp_list 0) es
+      Buffer.add_char buf '[';
+      to_buffer_prec 0 buf h;
+      list buf ~enclose:(" | ", "]") ~sep:"; " qual qs
+  | App (f, es) ->
+      add buf f;
+      list buf ~enclose:("(", ")") ~sep:", " (to_buffer_prec 0) es
   | Range (l, u) ->
-      let body ppf () =
-        Fmt.pf ppf "Range %a %a" (pp_prec 8) l (pp_prec 8) u
-      in
-      if prec > 7 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      paren buf prec 7 (fun () ->
+          add buf "Range ";
+          to_buffer_prec 8 buf l;
+          Buffer.add_char buf ' ';
+          to_buffer_prec 8 buf u)
   | Unop (op, e) ->
-      let s = match op with Neg -> "-" | Not -> "not " in
-      let body ppf () = Fmt.pf ppf "%s%a" s (pp_prec 7) e in
-      if prec > 7 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      paren buf prec 7 (fun () ->
+          add buf (match op with Neg -> "-" | Not -> "not ");
+          to_buffer_prec 7 buf e)
   | Binop (op, a, b) ->
       let p, s = binop_info op in
       (* comparisons are non-associative: both operands need a higher
@@ -224,34 +241,47 @@ let rec pp_prec prec ppf e =
         | Eq | Neq | Lt | Le | Gt | Ge -> p + 1
         | Add | Sub | Mul | Div | And | Or | Union | Monus -> p
       in
-      let body ppf () =
-        Fmt.pf ppf "%a %s %a" (pp_prec lhs_prec) a s (pp_prec (p + 1)) b
-      in
-      if prec > p then Fmt.pf ppf "(%a)" body () else body ppf ()
+      paren buf prec p (fun () ->
+          to_buffer_prec lhs_prec buf a;
+          Buffer.add_char buf ' ';
+          add buf s;
+          Buffer.add_char buf ' ';
+          to_buffer_prec (p + 1) buf b)
   | If (c, t, e) ->
-      let body ppf () =
-        Fmt.pf ppf "if %a then %a else %a" (pp_prec 0) c (pp_prec 0) t
-          (pp_prec 0) e
-      in
-      if prec > 0 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      paren buf prec 0 (fun () ->
+          add buf "if ";
+          to_buffer_prec 0 buf c;
+          add buf " then ";
+          to_buffer_prec 0 buf t;
+          add buf " else ";
+          to_buffer_prec 0 buf e)
   | Let (x, e, b) ->
-      let body ppf () =
-        Fmt.pf ppf "let %s = %a in %a" x (pp_prec 0) e (pp_prec 0) b
-      in
-      if prec > 0 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      paren buf prec 0 (fun () ->
+          add buf "let ";
+          add buf x;
+          add buf " = ";
+          to_buffer_prec 0 buf e;
+          add buf " in ";
+          to_buffer_prec 0 buf b)
 
-and pp_list prec ppf es = Fmt.(list ~sep:(any ", ") (pp_prec prec)) ppf es
-and pp_seq prec ppf es = Fmt.(list ~sep:(any "; ") (pp_prec prec)) ppf es
+and qual buf = function
+  | Gen (p, e) ->
+      pat buf p;
+      add buf " <- ";
+      to_buffer_prec 4 buf e
+  | Filter e -> to_buffer_prec 3 buf e
 
-and pp_qual ppf = function
-  | Gen (p, e) -> Fmt.pf ppf "%a <- %a" pp_pat p (pp_prec 4) e
-  | Filter e -> pp_prec 3 ppf e
+and pat buf = function
+  | PVar x -> add buf x
+  | PWild -> Buffer.add_char buf '_'
+  | PConst v -> Value.to_buffer buf v
+  | PTuple ps -> list buf ~enclose:("{", "}") ~sep:"," pat ps
 
-and pp_pat ppf = function
-  | PVar x -> Fmt.string ppf x
-  | PWild -> Fmt.string ppf "_"
-  | PConst v -> Value.pp ppf v
-  | PTuple ps -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") pp_pat) ps
+let to_buffer = to_buffer_prec 0
 
-let pp = pp_prec 0
-let to_string e = Fmt.to_to_string pp e
+let to_string e =
+  let buf = Buffer.create 64 in
+  to_buffer buf e;
+  Buffer.contents buf
+
+let pp ppf e = Fmt.string ppf (to_string e)

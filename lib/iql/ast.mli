@@ -70,9 +70,10 @@ val scheme_ref : Scheme.t -> expr
 val str : string -> expr
 val int : int -> expr
 
-val pp : expr Fmt.t
-(** Precedence-aware printer; output re-parses to an equal AST. *)
+val to_buffer : Buffer.t -> expr -> unit
+(** Appends the precedence-aware printed form, which re-parses to an
+    equal AST.  The one printer; {!to_string} and {!pp} are derived
+    from it. *)
 
-val pp_pat : pat Fmt.t
-val pp_qual : qual Fmt.t
 val to_string : expr -> string
+val pp : expr Fmt.t

@@ -10,17 +10,29 @@ type ty =
   | TBag of ty
   | TVar of int
 
-let rec pp ppf = function
-  | TUnit -> Fmt.string ppf "unit"
-  | TBool -> Fmt.string ppf "bool"
-  | TInt -> Fmt.string ppf "int"
-  | TFloat -> Fmt.string ppf "float"
-  | TStr -> Fmt.string ppf "str"
-  | TTuple ts -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") pp) ts
-  | TBag t -> Fmt.pf ppf "[%a]" pp t
-  | TVar n -> Fmt.pf ppf "'t%d" n
+let rec to_buffer buf = function
+  | TUnit -> Buffer.add_string buf "unit"
+  | TBool -> Buffer.add_string buf "bool"
+  | TInt -> Buffer.add_string buf "int"
+  | TFloat -> Buffer.add_string buf "float"
+  | TStr -> Buffer.add_string buf "str"
+  | TTuple ts ->
+      Automed_base.Strutil.add_list buf ~enclose:("{", "}") ~sep:"," to_buffer
+        ts
+  | TBag t ->
+      Buffer.add_char buf '[';
+      to_buffer buf t;
+      Buffer.add_char buf ']'
+  | TVar n ->
+      Buffer.add_string buf "'t";
+      Buffer.add_string buf (Int.to_string n)
 
-let to_string t = Fmt.to_to_string pp t
+let to_string t =
+  let buf = Buffer.create 16 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Fmt.string ppf (to_string t)
 let tuple_row tys = TBag (TTuple tys)
 
 exception Ty_parse of string

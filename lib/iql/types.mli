@@ -19,8 +19,13 @@ type ty =
   | TBag of ty
   | TVar of int  (** unification variable (only in inferred types) *)
 
-val pp : ty Fmt.t
+val to_buffer : Buffer.t -> ty -> unit
+(** Appends the printed form ([int], [{str,float}], [\[t\]], ['t3]) that
+    {!of_string} reads back.  The one printer; {!to_string} and {!pp}
+    are derived from it. *)
+
 val to_string : ty -> string
+val pp : ty Fmt.t
 
 val of_string : string -> (ty, string) result
 (** Parses the printed form of variable-free types: [int], [float],

@@ -36,11 +36,11 @@ let equal a b = compare a b = 0
 (* Inner text of a string literal: escapes are rendered so that the
    lexer reads the exact string back (strings without quotes, backslashes
    or control characters render as themselves). *)
-let escape_string s =
-  let plain c = c <> '\'' && c <> '\\' && c <> '\n' && c <> '\r' && c <> '\t' in
-  if String.for_all plain s then s
-  else begin
-    let buf = Buffer.create (String.length s + 4) in
+let plain c = c <> '\'' && c <> '\\' && c <> '\n' && c <> '\r' && c <> '\t'
+
+let add_escaped buf s =
+  if String.for_all plain s then Buffer.add_string buf s
+  else
     String.iter
       (fun c ->
         match c with
@@ -50,24 +50,44 @@ let escape_string s =
         | '\r' -> Buffer.add_string buf "\\r"
         | '\t' -> Buffer.add_string buf "\\t"
         | c -> Buffer.add_char buf c)
-      s;
+      s
+
+let escape_string s =
+  if String.for_all plain s then s
+  else begin
+    let buf = Buffer.create (String.length s + 4) in
+    add_escaped buf s;
     Buffer.contents buf
   end
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Str s -> Fmt.pf ppf "'%s'" (escape_string s)
-  | Tuple vs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") pp) vs
+let rec to_buffer buf = function
+  | Unit -> Buffer.add_string buf "()"
+  | Bool b -> Buffer.add_string buf (Bool.to_string b)
+  | Int i -> Buffer.add_string buf (Int.to_string i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Str s ->
+      Buffer.add_char buf '\'';
+      add_escaped buf s;
+      Buffer.add_char buf '\''
+  | Tuple vs ->
+      Automed_base.Strutil.add_list buf ~enclose:("{", "}") ~sep:"," to_buffer
+        vs
   | Bag b ->
-      let item ppf (v, n) =
-        if n = 1 then pp ppf v else Fmt.pf ppf "%a*%d" pp v n
-      in
-      Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") item) b
+      Automed_base.Strutil.add_list buf ~enclose:("[", "]") ~sep:"; "
+        (fun buf (v, n) ->
+          to_buffer buf v;
+          if n <> 1 then begin
+            Buffer.add_char buf '*';
+            Buffer.add_string buf (Int.to_string n)
+          end)
+        b
 
-let to_string v = Fmt.to_to_string pp v
+let to_string v =
+  let buf = Buffer.create 32 in
+  to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let rec is_canonical = function
   | Unit | Bool _ | Int _ | Float _ | Str _ -> true

@@ -24,8 +24,14 @@ val compare : t -> t -> int
     Used as the bag element order. *)
 
 val equal : t -> t -> bool
-val pp : t Fmt.t
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the IQL literal form: floats as [%g], strings quoted with
+    {!escape_string}'s escapes, bags as [\[v; w*n\]] with multiplicity
+    suffixes.  The one printer; {!to_string} and {!pp} are derived from
+    it. *)
+
 val to_string : t -> string
+val pp : t Fmt.t
 
 val escape_string : string -> string
 (** The inner text of an IQL string literal for the given string:

@@ -1,4 +1,5 @@
 module Scheme = Automed_base.Scheme
+module Strutil = Automed_base.Strutil
 module Schema = Automed_model.Schema
 module Ast = Automed_iql.Ast
 module Parser = Automed_iql.Parser
@@ -11,103 +12,148 @@ let err fmt = Format.kasprintf (fun s -> Error s) fmt
 
 (* -- rendering ----------------------------------------------------------- *)
 
-let quote name =
-  let buf = Buffer.create (String.length name + 2) in
+(* Every record renders straight into one Buffer: no per-line string is
+   built, and Printf is left to the floats. *)
+
+let add = Buffer.add_string
+
+let add_quoted buf name =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
+      | '"' -> add buf "\\\""
+      | '\\' -> add buf "\\\\"
+      | '\n' -> add buf "\\n"
+      | '\r' -> add buf "\\r"
       | c -> Buffer.add_char buf c)
     name;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
 (* Values rendered for exact round-tripping: floats get 17 significant
-   digits (Value.pp's %g display format would lose precision), and
+   digits (Value's %g display format would lose precision), and
    integral floats keep an explicit ".0" so they re-parse as floats
    rather than collapsing into ints. *)
-let rec render_value = function
+let rec add_value buf = function
   | Value.Float f ->
       let s = Printf.sprintf "%.17g" f in
-      let integral =
-        String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s
-      in
-      if integral then s ^ ".0" else s
+      add buf s;
+      if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then
+        add buf ".0"
   | Value.Tuple vs ->
-      "{" ^ String.concat "," (List.map render_value vs) ^ "}"
-  | v -> Value.to_string v
+      Strutil.add_list buf ~enclose:("{", "}") ~sep:"," add_value vs
+  | v -> Value.to_buffer buf v
 
-let render_value_expr bag =
-  (* a bag extent as an IQL bag literal with expanded multiplicities *)
-  let items = Value.Bag.to_list bag in
-  "[" ^ String.concat "; " (List.map render_value items) ^ "]"
+(* a bag extent as an IQL bag literal with expanded multiplicities *)
+let add_bag buf bag =
+  Strutil.add_list buf ~enclose:("[", "]") ~sep:"; " add_value
+    (Value.Bag.to_list bag)
+
+(* [kind "a" -> "b"] *)
+let add_header buf kind from_s to_s =
+  add buf kind;
+  Buffer.add_char buf ' ';
+  add_quoted buf from_s;
+  add buf " -> ";
+  add_quoted buf to_s;
+  Buffer.add_char buf '\n'
+
+(* [<<o>>] or [<<o>> : ty] *)
+let add_object buf o ty =
+  Scheme.to_buffer buf o;
+  match ty with
+  | Some ty ->
+      add buf " : ";
+      Types.to_buffer buf ty
+  | None -> ()
 
 let render_schema buf s =
-  Buffer.add_string buf (Printf.sprintf "schema %s\n" (quote (Schema.name s)));
+  add buf "schema ";
+  add_quoted buf (Schema.name s);
+  Buffer.add_char buf '\n';
   Schema.fold
     (fun o { Schema.extent_ty } () ->
-      match extent_ty with
-      | Some ty ->
-          Buffer.add_string buf
-            (Printf.sprintf "object %s : %s\n" (Scheme.to_string o)
-               (Types.to_string ty))
-      | None ->
-          Buffer.add_string buf (Printf.sprintf "object %s\n" (Scheme.to_string o)))
+      add buf "object ";
+      add_object buf o extent_ty;
+      Buffer.add_char buf '\n')
     s ()
 
 let render_step buf (step : Transform.prim) =
-  let line = function
-    | Transform.Add (o, q) ->
-        Printf.sprintf "step add %s := %s" (Scheme.to_string o) (Ast.to_string q)
-    | Transform.Delete (o, q) ->
-        Printf.sprintf "step delete %s := %s" (Scheme.to_string o)
-          (Ast.to_string q)
-    | Transform.Extend (o, ql, qu) ->
-        Printf.sprintf "step extend %s := %s" (Scheme.to_string o)
-          (Ast.to_string (Ast.Range (ql, qu)))
-    | Transform.Contract (o, ql, qu) ->
-        Printf.sprintf "step contract %s := %s" (Scheme.to_string o)
-          (Ast.to_string (Ast.Range (ql, qu)))
-    | Transform.Rename (a, b) ->
-        Printf.sprintf "step rename %s := %s" (Scheme.to_string a)
-          (Scheme.to_string b)
-    | Transform.Id (a, b) ->
-        Printf.sprintf "step id %s := %s" (Scheme.to_string a)
-          (Scheme.to_string b)
+  let head kind o =
+    add buf "step ";
+    add buf kind;
+    Buffer.add_char buf ' ';
+    Scheme.to_buffer buf o;
+    add buf " := "
   in
-  Buffer.add_string buf (line step);
+  (match step with
+  | Transform.Add (o, q) ->
+      head "add" o;
+      Ast.to_buffer buf q
+  | Transform.Delete (o, q) ->
+      head "delete" o;
+      Ast.to_buffer buf q
+  | Transform.Extend (o, ql, qu) ->
+      head "extend" o;
+      Ast.to_buffer buf (Ast.Range (ql, qu))
+  | Transform.Contract (o, ql, qu) ->
+      head "contract" o;
+      Ast.to_buffer buf (Ast.Range (ql, qu))
+  | Transform.Rename (a, b) ->
+      head "rename" a;
+      Scheme.to_buffer buf b
+  | Transform.Id (a, b) ->
+      head "id" a;
+      Scheme.to_buffer buf b);
   Buffer.add_char buf '\n'
 
-let render_pathway ?(head = "pathway") buf (p : Transform.pathway) =
-  Buffer.add_string buf
-    (Printf.sprintf "%s %s -> %s\n" head (quote p.Transform.from_schema)
-       (quote p.Transform.to_schema));
-  List.iter (render_step buf) p.Transform.steps;
-  Buffer.add_string buf "end\n"
+let render_steps buf (p : Transform.pathway) =
+  List.iter (render_step buf) p.Transform.steps
+
+(* a pathway's header and steps; the caller closes the block *)
+let render_pathway_open buf head (p : Transform.pathway) =
+  add_header buf head p.Transform.from_schema p.Transform.to_schema;
+  render_steps buf p
+
+let render_pathway ?(head = "pathway") buf p =
+  render_pathway_open buf head p;
+  add buf "end\n"
+
+(* [kind "name"] *)
+let render_named buf kind name =
+  add buf kind;
+  Buffer.add_char buf ' ';
+  add_quoted buf name;
+  Buffer.add_char buf '\n'
 
 let render_alter buf name (alter : Repository.schema_alter) =
-  let line =
-    match alter with
-    | Repository.Alter_add_object (o, Some ty) ->
-        Printf.sprintf "alter %s add %s : %s" (quote name) (Scheme.to_string o)
-          (Types.to_string ty)
-    | Repository.Alter_add_object (o, None) ->
-        Printf.sprintf "alter %s add %s" (quote name) (Scheme.to_string o)
-    | Repository.Alter_drop_object o ->
-        Printf.sprintf "alter %s drop %s" (quote name) (Scheme.to_string o)
-    | Repository.Alter_rename_object (a, b) ->
-        Printf.sprintf "alter %s rename %s := %s" (quote name)
-          (Scheme.to_string a) (Scheme.to_string b)
-  in
-  Buffer.add_string buf line;
+  add buf "alter ";
+  add_quoted buf name;
+  (match alter with
+  | Repository.Alter_add_object (o, ty) ->
+      add buf " add ";
+      add_object buf o ty
+  | Repository.Alter_drop_object o ->
+      add buf " drop ";
+      Scheme.to_buffer buf o
+  | Repository.Alter_rename_object (a, b) ->
+      add buf " rename ";
+      Scheme.to_buffer buf a;
+      add buf " := ";
+      Scheme.to_buffer buf b);
+  Buffer.add_char buf '\n'
+
+let render_extent buf name o bag =
+  add buf "extent ";
+  add_quoted buf name;
+  Buffer.add_char buf ' ';
+  Scheme.to_buffer buf o;
+  add buf " := ";
+  add_bag buf bag;
   Buffer.add_char buf '\n'
 
 let save ?(extents = false) repo =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 65536 in
   List.iter (render_schema buf) (Repository.schemas repo);
   List.iter
     (fun p ->
@@ -116,10 +162,7 @@ let save ?(extents = false) repo =
   List.iter
     (render_pathway ~head:"contribution" buf)
     (Repository.contributions repo);
-  List.iter
-    (fun name ->
-      Buffer.add_string buf (Printf.sprintf "retire %s\n" (quote name)))
-    (Repository.retired_sources repo);
+  List.iter (render_named buf "retire") (Repository.retired_sources repo);
   if extents then
     List.iter
       (fun s ->
@@ -127,10 +170,7 @@ let save ?(extents = false) repo =
         List.iter
           (fun o ->
             match Repository.stored_extent repo ~schema:name o with
-            | Some bag ->
-                Buffer.add_string buf
-                  (Printf.sprintf "extent %s %s := %s\n" (quote name)
-                     (Scheme.to_string o) (render_value_expr bag))
+            | Some bag -> render_extent buf name o bag
             | None -> ())
           (Schema.objects s))
       (Repository.schemas repo);
@@ -398,47 +438,23 @@ let save_op (op : Repository.op) =
   | Repository.Op_add_contribution p ->
       render_pathway ~head:"contribution" buf p
   | Repository.Op_alter_schema (name, alter) -> render_alter buf name alter
-  | Repository.Op_retire_source name ->
-      Buffer.add_string buf (Printf.sprintf "retire %s\n" (quote name))
+  | Repository.Op_retire_source name -> render_named buf "retire" name
   | Repository.Op_replace_pathway (p_old, p_new) ->
-      Buffer.add_string buf
-        (Printf.sprintf "replace pathway %s -> %s\n"
-           (quote p_old.Transform.from_schema)
-           (quote p_old.Transform.to_schema));
-      List.iter (render_step buf) p_old.Transform.steps;
-      Buffer.add_string buf "with\n";
-      List.iter (render_step buf) p_new.Transform.steps;
-      Buffer.add_string buf "end\n"
-  | Repository.Op_set_extent (name, o, bag) ->
-      Buffer.add_string buf
-        (Printf.sprintf "extent %s %s := %s\n" (quote name) (Scheme.to_string o)
-           (render_value_expr bag))
-  | Repository.Op_remove_schema name ->
-      Buffer.add_string buf (Printf.sprintf "remove %s\n" (quote name))
-  | Repository.Op_rename_schema (a, b) ->
-      Buffer.add_string buf
-        (Printf.sprintf "rename %s -> %s\n" (quote a) (quote b))
+      add_header buf "replace pathway" p_old.Transform.from_schema
+        p_old.Transform.to_schema;
+      render_steps buf p_old;
+      add buf "with\n";
+      render_steps buf p_new;
+      add buf "end\n"
+  | Repository.Op_set_extent (name, o, bag) -> render_extent buf name o bag
+  | Repository.Op_remove_schema name -> render_named buf "remove" name
+  | Repository.Op_rename_schema (a, b) -> add_header buf "rename" a b
   | Repository.Op_remove_pathway p -> render_pathway ~head:"drop pathway" buf p
   | Repository.Op_compact_pathway (retired, shortcut, reroutes) ->
-      Buffer.add_string buf
-        (Printf.sprintf "compact pathway %s -> %s\n"
-           (quote retired.Transform.from_schema)
-           (quote retired.Transform.to_schema));
-      List.iter (render_step buf) retired.Transform.steps;
-      Buffer.add_string buf
-        (Printf.sprintf "with %s -> %s\n"
-           (quote shortcut.Transform.from_schema)
-           (quote shortcut.Transform.to_schema));
-      List.iter (render_step buf) shortcut.Transform.steps;
-      List.iter
-        (fun (r : Transform.pathway) ->
-          Buffer.add_string buf
-            (Printf.sprintf "contribution %s -> %s\n"
-               (quote r.Transform.from_schema)
-               (quote r.Transform.to_schema));
-          List.iter (render_step buf) r.Transform.steps)
-        reroutes;
-      Buffer.add_string buf "end\n");
+      render_pathway_open buf "compact pathway" retired;
+      render_pathway_open buf "with" shortcut;
+      List.iter (render_pathway_open buf "contribution") reroutes;
+      add buf "end\n");
   Buffer.contents buf
 
 let parse_schema_block name lines =

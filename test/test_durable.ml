@@ -636,6 +636,139 @@ let test_telemetry_counters () =
       Alcotest.(check bool) "scrub_bad_record fired" true
         (Telemetry.Memory.counter mem "durable.scrub_bad_record" > 0))
 
+(* -- pinned store bytes ------------------------------------------------------ *)
+
+(* Every byte the durable store is handed, pinned: iSpider integrated at a
+   fixed seed and scale, then a fixed delta script (add source, alter by
+   adding, renaming and dropping objects, drop source) with a maintenance
+   tick after each delta, enough to compact, reclaim and checkpoint.  Each
+   write and append is logged as its kind, file name and the MD5 of its
+   data; the digest of that log, and of the final
+   [Serialize.save ~extents:true], must not move.  A printer change that
+   moves one separator in anything this run stores fails here: existing
+   stores must keep recovering byte for byte.  test_printers.ml covers
+   the IQL constructs the case study's pathways do not use. *)
+
+module Evolution = Automed_evolution.Evolution
+module Maintain = Automed_maintain.Maintain
+module Types = Automed_iql.Types
+
+let pinned_delta i =
+  let k = string_of_int (i / 5) in
+  match i mod 5 with
+  | 0 ->
+      (* extents with escapes, signed and integral floats, tuples and a
+         repeated row (multiplicity 2) *)
+      let name = "sat" ^ k in
+      let table = Scheme.table ("s" ^ k) in
+      let column = Scheme.column ("s" ^ k) "w" in
+      let schema =
+        ok
+          (Schema.of_objects name
+             [ (table, None);
+               (column, Some (Types.tuple_row [ Types.TStr; Types.TFloat ])) ])
+      in
+      let rows =
+        Value.Bag.of_list
+          [ Value.Str (name ^ "-r1"); Value.Str "it's \"q\"\n\\ \t";
+            Value.Str (name ^ "-r1") ]
+      and weights =
+        Value.Bag.of_list
+          [ Value.tuple2 (Value.Str (name ^ "-r1")) (Value.Float (-2.5));
+            Value.tuple2 (Value.Str "it's \"q\"\n\\ \t") (Value.Float 3.0);
+            Value.tuple2 (Value.Str "z") (Value.Float 1e-7) ]
+      in
+      Evolution.Add_source (schema, [ (table, rows); (column, weights) ])
+  | 1 ->
+      Evolution.Alter
+        ( Sources.pedro_name,
+          [ Repository.Alter_add_object (Scheme.table ("tmp" ^ k), None) ] )
+  | 2 ->
+      Evolution.Alter
+        ( Sources.pedro_name,
+          [
+            Repository.Alter_add_object
+              ( Scheme.column ("tmp" ^ k) "note",
+                Some (Types.tuple_row [ Types.TStr; Types.TInt ]) );
+          ] )
+  | 3 ->
+      Evolution.Alter
+        ( Sources.pedro_name,
+          [
+            Repository.Alter_drop_object (Scheme.column ("tmp" ^ k) "note");
+            Repository.Alter_rename_object
+              (Scheme.table ("tmp" ^ k), Scheme.table ("kept" ^ k));
+          ] )
+  | _ -> Evolution.Drop_source ("sat" ^ k)
+
+let pinned_cycles = 10
+
+(* thresholds low enough that ten cycles fire every maintenance action *)
+let pinned_policy =
+  let module Health = Automed_observe.Health in
+  let t warn = { Health.warn; critical = 4.0 *. warn } in
+  {
+    Maintain.default_policy with
+    Maintain.reclaim_cooldown = 3;
+    health =
+      {
+        Health.default_config with
+        Health.chain_depth = t 3.0;
+        retired_sources = t 1.0;
+        journal_bytes = t 1_000_000.0;
+      };
+  }
+
+(* recorded with the Format/Printf printers, before the codec moved onto
+   one Buffer *)
+let pinned_writes_digest = "4f16e49c7712e2e9bb47e4c0d861b249"
+let pinned_state_digest = "7c2cb35b1a105448dd0f71d0b0157f51"
+
+let test_pinned_store_bytes () =
+  let inner = Vfs.memory () in
+  let log = Buffer.create 4096 and writes = ref 0 in
+  let record kind name data =
+    incr writes;
+    Buffer.add_string log
+      (Printf.sprintf "%s %s %s\n" kind name
+         (Digest.to_hex (Digest.string data)))
+  in
+  let vfs =
+    {
+      inner with
+      Vfs.append =
+        (fun name data ->
+          record "append" name data;
+          inner.Vfs.append name data);
+      write =
+        (fun name data ->
+          record "write" name data;
+          inner.Vfs.write name data);
+    }
+  in
+  let repo = Repository.create () in
+  let durable = ok (Durable.attach vfs repo) in
+  ok (Sources.wrap_all repo (Sources.generate ~seed:11L ~scale:12 ()));
+  let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
+  let scheduler = Maintain.Scheduler.create ~policy:pinned_policy () in
+  for i = 0 to pinned_cycles - 1 do
+    ignore (ok (Evolution.evolve wf (pinned_delta i)));
+    ignore (ok (Maintain.Scheduler.tick ~durable scheduler wf))
+  done;
+  let events = Maintain.Scheduler.events scheduler in
+  List.iter
+    (fun action ->
+      Alcotest.(check bool)
+        (Maintain.action_label action ^ " fires")
+        true
+        (List.exists (fun e -> e.Maintain.e_action = action) events))
+    [ Maintain.Compact; Maintain.Reclaim; Maintain.Checkpoint ];
+  Alcotest.(check int) "store writes" 389 !writes;
+  Alcotest.(check string) "digest of every store write" pinned_writes_digest
+    (Digest.to_hex (Digest.string (Buffer.contents log)));
+  Alcotest.(check string) "digest of the saved state" pinned_state_digest
+    (Digest.to_hex (Digest.string (save repo)))
+
 let suite =
   [
     Alcotest.test_case "crc32 known answers" `Quick test_crc_known_answer;
@@ -673,4 +806,5 @@ let suite =
     Alcotest.test_case "journal bytes after a failed append" `Quick
       test_journal_bytes_after_failed_append;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
+    Alcotest.test_case "pinned store bytes" `Quick test_pinned_store_bytes;
   ]
