@@ -1,7 +1,6 @@
-(* Benchmark and experiment harness.
-
-   Regenerates every evaluation artefact of the paper (see EXPERIMENTS.md
-   for the index):
+(* Experiment harness: reproduces the paper's evaluation and checks the
+   reproduction's behaviour claims, each by the exit code (EXPERIMENTS.md
+   has the index):
 
    - E-T1   Table 1: the seven case-study queries over the intersection-
             based global schema, verified against ground truth;
@@ -10,9 +9,16 @@
    - E-CS2  the pay-as-you-go curve: queries answerable vs cumulative
             manual transformations, for both methodologies;
    - E-F1..E-F4  machine-checked reconstructions of Figures 1-4;
-   - E-P*   Bechamel micro-benchmarks: IQL parsing/evaluation, query
-            reformulation, pathway reversal, bag algebra, plus the
-            ablations called out in DESIGN.md. *)
+   - E-FW1  the projected user effort of the paper's planned study;
+   - E-R1, E-D1, E-S1, E-O1, E-E1/E-H1, E-M1  the claims of the
+            reproduction's own layers: fault tolerance, durability,
+            reachability pruning, provenance, evolution and maintenance.
+
+   A claim experiment writes only its own BENCH_*.json snapshot, and the
+   snapshot holds only deterministic values, so a rerun reproduces it
+   byte for byte; wall-clock timings go to stdout only.  The entry
+   [counts] prints the work counts of the deterministic experiments for
+   the runtest diff against bench/work_counts.expected. *)
 
 module Scheme = Automed_base.Scheme
 module Schema = Automed_model.Schema
@@ -41,7 +47,6 @@ module Vfs = Automed_durable.Vfs
 module Evolution = Automed_evolution.Evolution
 module Health = Automed_observe.Health
 module Maintain = Automed_maintain.Maintain
-module Bench_diff = Automed_observe.Bench_diff
 
 let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
 let ok = function Ok v -> v | Error e -> die "error: %s" e
@@ -53,96 +58,25 @@ let ok_p = function
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* -- telemetry snapshots -------------------------------------------------- *)
-
-(* Each experiment runs under its own memory sink; the aggregated metric
-   snapshot of every experiment is written to BENCH_telemetry.json at the
-   end of the run (shape documented in EXPERIMENTS.md).  The Bechamel
-   micro-benchmarks deliberately run WITHOUT a sink so that the measured
-   numbers only pay the single no-sink branch per probe. *)
-
-let snapshots : (string * float * Telemetry.Metrics.t) list ref = ref []
-
-let with_telemetry name f =
-  let mem = Telemetry.Memory.create () in
+(* [f ()] and its wall clock in milliseconds *)
+let timed f =
   let t0 = Telemetry.wall_clock () in
+  let r = f () in
+  (r, (Telemetry.wall_clock () -. t0) *. 1000.0)
+
+(* [f ()] under a fresh memory sink, and the metrics it recorded *)
+let measured f =
+  let mem = Telemetry.Memory.create () in
   let r = Telemetry.with_sink (Telemetry.Memory.sink mem) f in
-  let wall_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-  snapshots := (name, wall_ms, Telemetry.Metrics.of_memory mem) :: !snapshots;
-  r
+  (r, Telemetry.Metrics.of_memory mem)
 
-let write_snapshots path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{";
-      List.iteri
-        (fun i (name, _wall_ms, m) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "\n  %s: %s" (Microjson.escape name)
-            (Telemetry.Metrics.to_json m))
-        (List.rev !snapshots);
-      output_string oc "\n}\n")
+let int n = Microjson.Num (float_of_int n)
+let seed s = Microjson.Num (Int64.to_float s)
 
-(* -- bench history -------------------------------------------------------- *)
-
-(* Every run appends one JSONL record per experiment to
-   BENCH_history.jsonl: run metadata (timestamp, mode), the experiment's
-   wall clock, and its key counters and latency percentiles.  The file
-   accumulates across runs, so regressions show up as series breaks; the
-   [diff] mode compares a fresh run against its last "full" records. *)
-
-let history_file = "BENCH_history.jsonl"
-
-(* experiment -> extra JSON members to splice into its history record
-   (e.g. E-E1 registers its per-cycle repair-debt curve) *)
-let history_extras : (string * string) list ref = ref []
-
-let history_record ~ts ~mode (name, wall_ms, (m : Telemetry.Metrics.t)) =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  add
-    (Printf.sprintf "{\"ts\": %.3f, \"mode\": %s, \"experiment\": %s" ts
-       (Microjson.escape mode) (Microjson.escape name));
-  add (Printf.sprintf ", \"wall_ms\": %s" (Microjson.number wall_ms));
-  add (Printf.sprintf ", \"spans\": %d, \"counters\": {" m.Telemetry.Metrics.spans);
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then add ", ";
-      add (Printf.sprintf "%s: %d" (Microjson.escape n) v))
-    m.Telemetry.Metrics.counters;
-  add "}, \"quantiles\": {";
-  List.iteri
-    (fun i (n, (q : Telemetry.Memory.quantiles)) ->
-      if i > 0 then add ", ";
-      add
-        (Printf.sprintf "%s: {\"p50\": %s, \"p95\": %s, \"p99\": %s}"
-           (Microjson.escape n) (Microjson.number q.q50)
-           (Microjson.number q.q95) (Microjson.number q.q99)))
-    m.Telemetry.Metrics.quantiles;
-  add "}";
-  (match List.assoc_opt name !history_extras with
-  | None -> ()
-  | Some extra -> add (", " ^ extra));
-  add "}";
-  Buffer.contents b
-
-let append_history ~mode =
-  let ts = Telemetry.wall_clock () in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 history_file
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun snap ->
-          output_string oc (history_record ~ts ~mode snap);
-          output_char oc '\n')
-        (List.rev !snapshots));
-  Printf.printf "appended %d record(s) to %s (mode %s)\n"
-    (List.length !snapshots) history_file mode
+let write_snapshot path json =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Microjson.to_string json));
+  Printf.printf "wrote %s\n" path
 
 (* one shared dataset and both integrations *)
 let dataset = Sources.generate ()
@@ -167,72 +101,79 @@ let sample_answers bag n =
   String.concat ", " (List.map Value.to_string shown)
   ^ if List.length items > n then ", ..." else ""
 
-let experiment_table1 () =
+(* the seven queries on the shared workflow, each checked against ground
+   truth: (query, answer, wall clock) *)
+let table1_run () =
+  let wf = intersection_run.Intersection_run.workflow in
+  List.map
+    (fun (q : Queries.query) ->
+      match timed (fun () -> Workflow.run_query wf q.Queries.global_text) with
+      | Ok (Value.Bag got), ms ->
+          if not (Value.Bag.equal got (q.Queries.ground_truth dataset)) then
+            die "query %d does not match ground truth" q.Queries.number;
+          (q, got, ms)
+      | Ok v, _ ->
+          die "query %d returned %s" q.Queries.number (Value.to_string v)
+      | Error e, _ ->
+          die "query %d: %s" q.Queries.number (Fmt.str "%a" Processor.pp_error e))
+    Queries.all
+
+let experiment_table1 rows =
   section
     "E-T1  Table 1: the seven case-study queries (intersection global schema)";
-  let wf = intersection_run.Intersection_run.workflow in
-  Printf.printf "global schema: %s\n\n" (Workflow.global_name wf);
+  Printf.printf "global schema: %s\n\n"
+    (Workflow.global_name intersection_run.Intersection_run.workflow);
   List.iter
-    (fun (q : Queries.query) ->
-      (* per-query wall clock via the telemetry clock; the observation
-         also lands in the E-T1 snapshot of BENCH_telemetry.json *)
-      let t0 = Telemetry.wall_clock () in
-      match Workflow.run_query wf q.Queries.global_text with
-      | Error e ->
-          die "query %d: %s" q.Queries.number (Fmt.str "%a" Processor.pp_error e)
-      | Ok (Value.Bag got) ->
-          let ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-          Telemetry.observe "bench.query_ms" ms;
-          let expected = q.Queries.ground_truth dataset in
-          Printf.printf "Q%d  %s\n" q.Queries.number q.Queries.title;
-          Printf.printf "    IQL: %s\n" q.Queries.global_text;
-          Printf.printf "    answers: %d (%s)\n" (Value.Bag.cardinal got)
-            (sample_answers got 3);
-          Printf.printf "    wall clock: %.2f ms\n" ms;
-          Printf.printf "    ground truth: %d -> %s\n\n"
-            (Value.Bag.cardinal expected)
-            (if Value.Bag.equal got expected then "MATCH" else "MISMATCH");
-          if not (Value.Bag.equal got expected) then
-            die "query %d does not match ground truth" q.Queries.number
-      | Ok v -> die "query %d returned %s" q.Queries.number (Value.to_string v))
-    Queries.all
+    (fun ((q : Queries.query), got, ms) ->
+      Printf.printf "Q%d  %s\n" q.Queries.number q.Queries.title;
+      Printf.printf "    IQL: %s\n" q.Queries.global_text;
+      Printf.printf "    answers: %d (%s)\n" (Value.Bag.cardinal got)
+        (sample_answers got 3);
+      Printf.printf "    wall clock: %.2f ms\n" ms;
+      Printf.printf "    ground truth: %d -> MATCH\n\n" (Value.Bag.cardinal got))
+    rows
 
 (* -- E-CS1: transformation counts --------------------------------------- *)
 
-let experiment_counts () =
+(* both integrations on fresh repositories, so that a measured run sees
+   their construction *)
+let effort_run () =
+  let fresh () =
+    let repo = Repository.create () in
+    ok (Sources.wrap_all repo dataset);
+    repo
+  in
+  ( ok (Intersection_run.execute (fresh ())),
+    ok (Classical_run.execute (fresh ())) )
+
+let experiment_effort (irun, crun) =
   section "E-CS1  Integration effort: manually-defined transformations";
-  (* the shared runs are built at module init, outside any sink; re-run
-     both integrations on fresh repositories here so the E-CS1 snapshot
-     in BENCH_telemetry.json captures the construction's own metrics
-     (the printed counts still come from the shared runs — the
-     integrations are deterministic, so the numbers are identical) *)
-  let repo = Repository.create () in
-  ok (Sources.wrap_all repo dataset);
-  ignore (ok (Intersection_run.execute repo));
-  let crepo = Repository.create () in
-  ok (Sources.wrap_all crepo dataset);
-  ignore (ok (Classical_run.execute crepo));
   Printf.printf "%-52s %s\n" "intersection methodology (query-driven)" "manual";
   List.iter
     (fun (s : Intersection_run.step) ->
       Printf.printf "  %-50s %4d\n" s.Intersection_run.label
         s.Intersection_run.manual)
-    intersection_run.Intersection_run.steps;
+    irun.Intersection_run.steps;
   Printf.printf "  %-50s %4d   (paper: 26 = 6+1+1+15+3)\n" "TOTAL"
-    intersection_run.Intersection_run.total_manual;
+    irun.Intersection_run.total_manual;
   Printf.printf "\n%-52s %s\n" "classical up-front methodology (iSpider ladder)"
     "manual";
   Printf.printf "  %-50s %4d   (paper: 19)\n" "gpmDB -> GS1 non-trivial"
-    classical_run.Classical_run.gs1_gpm;
+    crun.Classical_run.gs1_gpm;
   Printf.printf "  %-50s %4d   (paper: 35)\n" "PepSeeker -> GS1 non-trivial"
-    classical_run.Classical_run.gs1_pep;
+    crun.Classical_run.gs1_pep;
   Printf.printf "  %-50s %4d   (paper: 41)\n" "PepSeeker -> GS2 additional"
-    classical_run.Classical_run.gs2_pep;
+    crun.Classical_run.gs2_pep;
   Printf.printf "  %-50s %4d   (paper: 95 = 19+35+41)\n" "TOTAL"
-    classical_run.Classical_run.total_manual;
+    crun.Classical_run.total_manual;
   Printf.printf "\nratio classical/intersection: %.2fx (paper: 95/26 = 3.65x)\n"
-    (float_of_int classical_run.Classical_run.total_manual
-    /. float_of_int intersection_run.Intersection_run.total_manual)
+    (float_of_int crun.Classical_run.total_manual
+    /. float_of_int irun.Intersection_run.total_manual);
+  if irun.Intersection_run.total_manual <> 26
+     || crun.Classical_run.total_manual <> 95
+  then
+    die "E-CS1: %d vs %d manual transformations, the paper reports 26 vs 95"
+      irun.Intersection_run.total_manual crun.Classical_run.total_manual
 
 (* -- E-CS2: pay-as-you-go curve ------------------------------------------ *)
 
@@ -462,16 +403,6 @@ let experiment_user_cost () =
   section
     "E-FW1  Projected user effort (simulating the Section 4 study metrics)";
   let module User_cost = Automed_ispider.User_cost in
-  (* replay the seven queries under the E-FW1 sink so the snapshot
-     carries the live evaluation counters the projection is modelled on
-     (the shared workflow was built outside any sink) *)
-  List.iter
-    (fun (q : Queries.query) ->
-      ignore
-        (ok_p
-           (Workflow.run_query intersection_run.Intersection_run.workflow
-              q.Queries.global_text)))
-    Queries.all;
   let ic = User_cost.intersection_cost intersection_run in
   let cc = User_cost.classical_cost classical_repo in
   Printf.printf "  %-28s %s\n" "intersection methodology"
@@ -496,21 +427,23 @@ let experiment_user_cost () =
      query.
 
    Latency added by the kernel is virtual (backoff sleeps on the
-   simulated clock), so the numbers are deterministic; the snapshot
-   lands in BENCH_resilience.json. *)
+   simulated clock), so the numbers are deterministic; the run exits 1
+   unless each configuration answers as many queries as EXPERIMENTS.md
+   records (4, 6 and 7 of 7). *)
 
 let resilience_fault_rate = 0.2
 let resilience_seed = 3L (* the test suite's seed: faults demonstrably fire *)
 
 type resilience_outcome = {
   label : string;
+  claim : int;  (** queries answered, complete or degraded *)
   per_query : (int * [ `Ok | `Degraded of int (* skips *) | `Failed ]) list;
   virtual_ms : float;  (** simulated backoff/latency spent by the kernel *)
   wall_ms : float;
   pedro : Resilience.stats;
 }
 
-let resilience_config ~label ~policy ~degrade =
+let resilience_config ~label ~claim ~policy ~degrade =
   let repo = Repository.create () in
   let res = Resilience.create ~seed:resilience_seed ~policy () in
   ok (Sources.wrap_all ~resilience:res repo dataset);
@@ -520,8 +453,8 @@ let resilience_config ~label ~policy ~degrade =
     (Resilience.Fault.rate resilience_fault_rate);
   let base_virtual = Resilience.now_ms res in
   let base_stats = Resilience.stats res "pedro" in
-  let t0 = Telemetry.wall_clock () in
-  let per_query =
+  let per_query, wall_ms =
+    timed @@ fun () ->
     List.map
       (fun (q : Queries.query) ->
         (* a cold cache per query: every query re-attempts the faulty
@@ -541,10 +474,10 @@ let resilience_config ~label ~policy ~degrade =
         (q.Queries.number, outcome))
       Queries.all
   in
-  let wall_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
   let s = Resilience.stats res "pedro" in
   {
     label;
+    claim;
     per_query;
     virtual_ms = Resilience.now_ms res -. base_virtual;
     wall_ms;
@@ -564,13 +497,55 @@ let fail_fast_policy =
 
 let resilience_outcomes () =
   [
-    resilience_config ~label:"no policy (fail fast)" ~policy:fail_fast_policy
-      ~degrade:false;
-    resilience_config ~label:"retry policy (default)"
+    resilience_config ~label:"no policy (fail fast)" ~claim:4
+      ~policy:fail_fast_policy ~degrade:false;
+    resilience_config ~label:"retry policy (default)" ~claim:6
       ~policy:Resilience.Policy.default ~degrade:false;
-    resilience_config ~label:"degraded mode (fail fast)"
+    resilience_config ~label:"degraded mode (fail fast)" ~claim:7
       ~policy:fail_fast_policy ~degrade:true;
   ]
+
+let resilience_json outcomes =
+  let outcome_json o =
+    Microjson.Obj
+      [
+        ("label", Str o.label);
+        ( "queries",
+          Arr
+            (List.map
+               (fun (n, r) ->
+                 Microjson.Obj
+                   [
+                     ("query", int n);
+                     ( "outcome",
+                       match r with
+                       | `Ok -> Str "ok"
+                       | `Degraded k ->
+                           Obj [ ("degraded", Obj [ ("skipped", int k) ]) ]
+                       | `Failed -> Str "failed" );
+                   ])
+               o.per_query) );
+        (* 0.1 ms resolution: the jittered backoff's trailing digits would
+           tie the snapshot to float rounding, not to the claim *)
+        ("virtual_ms", Num (Float.round (o.virtual_ms *. 10.0) /. 10.0));
+        ( "pedro",
+          Obj
+            [
+              ("attempts", int o.pedro.Resilience.attempts);
+              ("retries", int o.pedro.Resilience.retries);
+              ("failures", int o.pedro.Resilience.failures);
+              ("faults_injected", int o.pedro.Resilience.faults_injected);
+            ] );
+      ]
+  in
+  Microjson.Obj
+    [
+      ("experiment", Str "E-R1");
+      ("fault_rate", Num resilience_fault_rate);
+      ("seed", seed resilience_seed);
+      ("faulty_source", Str "pedro");
+      ("configurations", Arr (List.map outcome_json outcomes));
+    ]
 
 let experiment_resilience outcomes =
   section
@@ -608,172 +583,69 @@ let experiment_resilience outcomes =
         o.pedro.Resilience.attempts o.pedro.Resilience.retries
         o.pedro.Resilience.faults_injected;
       Printf.printf "  added latency: %.0f ms virtual, %.2f ms wall\n\n"
-        o.virtual_ms o.wall_ms)
-    outcomes
-
-let write_resilience_snapshot path outcomes =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let outcome_json o =
-        let per_query =
-          String.concat ", "
-            (List.map
-               (fun (n, r) ->
-                 Printf.sprintf "{\"query\": %d, \"outcome\": %s}" n
-                   (match r with
-                   | `Ok -> "\"ok\""
-                   | `Degraded k ->
-                       Printf.sprintf "{\"degraded\": {\"skipped\": %d}}" k
-                   | `Failed -> "\"failed\""))
-               o.per_query)
-        in
-        Printf.sprintf
-          "{\n\
-          \    \"label\": %s,\n\
-          \    \"queries\": [%s],\n\
-          \    \"virtual_ms\": %.1f,\n\
-          \    \"wall_ms\": %.3f,\n\
-          \    \"pedro\": {\"attempts\": %d, \"retries\": %d, \"failures\": \
-           %d, \"faults_injected\": %d}\n\
-          \  }"
-          (Microjson.escape o.label) per_query o.virtual_ms o.wall_ms
-          o.pedro.Resilience.attempts o.pedro.Resilience.retries
-          o.pedro.Resilience.failures o.pedro.Resilience.faults_injected
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-R1\",\n\
-        \  \"fault_rate\": %.2f,\n\
-        \  \"seed\": %Ld,\n\
-        \  \"faulty_source\": \"pedro\",\n\
-        \  \"configurations\": [%s]\n\
-         }\n"
-        resilience_fault_rate resilience_seed
-        (String.concat ", " (List.map outcome_json outcomes)))
+        o.virtual_ms o.wall_ms;
+      if ok_n + degraded_n <> o.claim then
+        die "E-R1: %s answered %d/7, expected %d/7" o.label (ok_n + degraded_n)
+          o.claim)
+    outcomes;
+  write_snapshot "BENCH_resilience.json" (resilience_json outcomes)
 
 (* -- E-D1: durability ------------------------------------------------------ *)
 
-(* Journal append throughput and recovery replay time, measured on the
-   real op stream of the 7-query iSpider integration: the whole run is
-   executed with a durable handle attached to an in-memory store, the
-   resulting journal's payloads are re-appended in a tight loop for the
-   throughput number, and recovery is timed at growing journal prefixes
-   (no checkpoint, so every record replays).  Every record is decoded
-   and re-encoded, which must reproduce its payload byte for byte (the
-   run exits 1 otherwise), and the re-encoding is timed for the codec's
-   encode throughput.  After full recovery the seven priority queries run
-   against the recovered repository and are checked against ground
-   truth. *)
-
-type recover_point = {
-  rp_records : int;
-  rp_bytes : int;
-  rp_ms : float;
-}
+(* The journal of the real op stream of the 7-query iSpider integration:
+   the whole run is executed with a durable handle attached to an
+   in-memory store.  Every record is decoded and re-encoded, which must
+   reproduce its payload byte for byte; recovery from growing journal
+   prefixes (no checkpoint, so every record replays) must replay exactly
+   the prefix; and after full recovery the seven priority queries must
+   match ground truth.  The run exits 1 on any of these.  Journal and
+   recovery timings are measured by bench/perf's churn workload
+   ([durable.*] metrics and [recover_ms]). *)
 
 type durability_outcome = {
   journaled_ops : int;
   journal_bytes : int;
-  integrate_ms : float;  (** full integration with journaling on *)
-  baseline_integrate_ms : float;  (** same run, no durable handle *)
-  append_ops_per_sec : float;
-  append_mb_per_sec : float;
-  encode_ops_per_sec : float;  (** [Serialize.save_op] on decoded records *)
-  encode_mb_per_sec : float;
-  recover_points : recover_point list;
+  recover_points : (int * int) list;  (** records replayed, journal bytes *)
   queries_ok : int;
-  queries_total : int;
 }
 
 let durability_outcome () =
-  let integrate vfs =
-    let repo = Repository.create () in
-    let _d = Option.map (fun v -> ok (Durable.attach v repo)) vfs in
-    let t0 = Telemetry.wall_clock () in
-    ok (Sources.wrap_all repo dataset);
-    ignore (ok (Intersection_run.execute repo));
-    let ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-    (repo, ms)
-  in
-  let _, baseline_integrate_ms = integrate None in
   let vfs = Vfs.memory () in
-  let _, integrate_ms = integrate (Some vfs) in
+  let repo = Repository.create () in
+  let _durable = ok (Durable.attach vfs repo) in
+  ok (Sources.wrap_all repo dataset);
+  ignore (ok (Intersection_run.execute repo));
   let scan = ok (Journal.read vfs ~file:Durable.journal_file) in
   let journaled_ops = List.length scan.Journal.records in
-  let journal_bytes = scan.Journal.total_bytes in
-  (* raw append throughput: the run's own payloads against a fresh store *)
-  let payloads = List.map snd scan.Journal.records in
-  let rounds = 5 in
-  let t0 = Telemetry.wall_clock () in
-  for _ = 1 to rounds do
-    let sink = Vfs.memory () in
-    List.iter
-      (fun p -> ok (Journal.append sink ~file:Durable.journal_file p))
-      payloads
-  done;
-  let append_s = Telemetry.wall_clock () -. t0 in
-  let total_ops = rounds * journaled_ops in
-  let append_ops_per_sec = float_of_int total_ops /. append_s in
-  let append_mb_per_sec =
-    float_of_int (rounds * journal_bytes) /. append_s /. 1048576.0
-  in
-  (* the codec reproduces every record; then its encode throughput *)
-  let ops =
-    List.mapi
-      (fun i payload ->
-        let op = ok (Serialize.load_op payload) in
-        if Serialize.save_op op <> payload then
-          die "E-D1: record %d does not re-encode to its stored payload" i;
-        op)
-      payloads
-  in
-  let t0 = Telemetry.wall_clock () in
-  for _ = 1 to rounds do
-    List.iter (fun op -> ignore (Serialize.save_op op)) ops
-  done;
-  let encode_s = Telemetry.wall_clock () -. t0 in
-  let payload_bytes =
-    List.fold_left (fun acc p -> acc + String.length p) 0 payloads
-  in
-  let encode_ops_per_sec = float_of_int total_ops /. encode_s in
-  let encode_mb_per_sec =
-    float_of_int (rounds * payload_bytes) /. encode_s /. 1048576.0
-  in
-  (* recovery replay time vs journal length *)
+  List.iteri
+    (fun i (_, payload) ->
+      if Serialize.save_op (ok (Serialize.load_op payload)) <> payload then
+        die "E-D1: record %d does not re-encode to its stored payload" i)
+    scan.Journal.records;
   let journal = ok (Vfs.(vfs.read) Durable.journal_file) in
-  let prefix_store keep_records =
-    let offsets =
-      List.filteri (fun i _ -> i = keep_records) scan.Journal.records
-    in
+  (* recover from the first [keep] records of the journal *)
+  let recover keep =
     let cut =
-      match offsets with
-      | [ (off, _) ] -> off
-      | _ -> String.length journal
+      match List.nth_opt scan.Journal.records keep with
+      | Some (off, _) -> off
+      | None -> String.length journal
     in
     let store = Vfs.memory () in
     ok (Vfs.(store.write) Durable.journal_file (String.sub journal 0 cut));
-    (store, cut)
+    let d, report = ok (Durable.recover store) in
+    if report.Durable.replayed <> keep then
+      die "E-D1: recovery replayed %d of %d records" report.Durable.replayed
+        keep;
+    (d, cut)
   in
   let recover_points =
     List.map
       (fun frac ->
         let keep = journaled_ops * frac / 8 in
-        let store, bytes = prefix_store keep in
-        let t0 = Telemetry.wall_clock () in
-        let d, report = ok (Durable.recover store) in
-        let ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-        ignore (Durable.repository d);
-        assert (report.Durable.replayed = keep);
-        { rp_records = keep; rp_bytes = bytes; rp_ms = ms })
+        (keep, snd (recover keep)))
       [ 1; 2; 4; 8 ]
   in
-  (* full recovery answers the seven priority queries correctly *)
-  let store, _ = prefix_store journaled_ops in
-  let d, _report = ok (Durable.recover store) in
-  let recovered = Durable.repository d in
-  let proc = Processor.create recovered in
+  let proc = Processor.create (Durable.repository (fst (recover journaled_ops))) in
   let global = Workflow.global_name intersection_run.Intersection_run.workflow in
   let queries_ok =
     List.length
@@ -787,377 +659,111 @@ let durability_outcome () =
   in
   {
     journaled_ops;
-    journal_bytes;
-    integrate_ms;
-    baseline_integrate_ms;
-    append_ops_per_sec;
-    append_mb_per_sec;
-    encode_ops_per_sec;
-    encode_mb_per_sec;
+    journal_bytes = scan.Journal.total_bytes;
     recover_points;
     queries_ok;
-    queries_total = List.length Queries.all;
   }
 
 let experiment_durability o =
-  section "E-D1  Durability: journal append throughput and recovery replay";
+  section "E-D1  Durability: journal codec round trip and recovery replay";
   Printf.printf
-    "  integration journaled %d ops (%d bytes); wall clock %.1f ms vs %.1f \
-     ms without journaling\n"
-    o.journaled_ops o.journal_bytes o.integrate_ms o.baseline_integrate_ms;
-  Printf.printf "  raw append throughput: %.0f ops/s, %.1f MiB/s\n"
-    o.append_ops_per_sec o.append_mb_per_sec;
-  Printf.printf
-    "  record encode throughput: %.0f ops/s, %.1f MiB/s (all %d records \
-     re-encode byte for byte)\n"
-    o.encode_ops_per_sec o.encode_mb_per_sec o.journaled_ops;
-  Printf.printf "  recovery replay time vs journal length:\n";
+    "  integration journaled %d ops (%d bytes); all %d records re-encode \
+     byte for byte\n"
+    o.journaled_ops o.journal_bytes o.journaled_ops;
+  Printf.printf "  recovery replays every record of a journal prefix:\n";
   List.iter
-    (fun p ->
-      Printf.printf "  %6d records %10d bytes %10.2f ms\n" p.rp_records
-        p.rp_bytes p.rp_ms)
+    (fun (records, bytes) ->
+      Printf.printf "  %6d records %10d bytes\n" records bytes)
     o.recover_points;
   Printf.printf
     "  7-query check after full recovery: %d/%d match ground truth\n"
-    o.queries_ok o.queries_total;
-  if o.queries_ok <> o.queries_total then
-    die "recovered repository does not answer the case-study queries"
-
-let write_durability_snapshot path o =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let points =
-        String.concat ", "
-          (List.map
-             (fun p ->
-               Printf.sprintf
-                 "{\"records\": %d, \"journal_bytes\": %d, \"recover_ms\": \
-                  %.3f}"
-                 p.rp_records p.rp_bytes p.rp_ms)
-             o.recover_points)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-D1\",\n\
-        \  \"journaled_ops\": %d,\n\
-        \  \"journal_bytes\": %d,\n\
-        \  \"integrate_ms\": %.1f,\n\
-        \  \"baseline_integrate_ms\": %.1f,\n\
-        \  \"append_ops_per_sec\": %.0f,\n\
-        \  \"append_mb_per_sec\": %.2f,\n\
-        \  \"encode_ops_per_sec\": %.0f,\n\
-        \  \"encode_mb_per_sec\": %.2f,\n\
-        \  \"recovery\": [%s],\n\
-        \  \"queries_after_recovery\": {\"ok\": %d, \"total\": %d}\n\
-         }\n"
-        o.journaled_ops o.journal_bytes o.integrate_ms o.baseline_integrate_ms
-        o.append_ops_per_sec o.append_mb_per_sec o.encode_ops_per_sec
-        o.encode_mb_per_sec points o.queries_ok
-        o.queries_total)
-
-(* -- E-P*: Bechamel micro-benchmarks -------------------------------------- *)
-
-let bench_query =
-  "[h | {p,h} <- <<uPeptideHitToProteinHitmm>>; {s,k,sq} <- \
-   <<UPeptideHit,sequence>>; p = {s,k}; sq = 'MVHLTPEEK']"
-
-let bechamel_tests () =
-  let open Bechamel in
-  let global = Workflow.global_name intersection_run.Intersection_run.workflow in
-  let parsed = Parser.parse_exn bench_query in
-  (* warmed processor: extents cached, only evaluation is measured *)
-  let warm = Processor.create intersection_repo in
-  ignore (ok_p (Processor.run warm ~schema:global parsed));
-  let iql_parse =
-    Test.make ~name:"iql-parse"
-      (Staged.stage (fun () -> Parser.parse_exn bench_query))
-  in
-  let iql_eval_warm =
-    Test.make ~name:"query-eval-warm-cache"
-      (Staged.stage (fun () -> ok_p (Processor.run warm ~schema:global parsed)))
-  in
-  let iql_eval_unoptimized =
-    Test.make ~name:"ablation-eval-no-optimizer"
-      (Staged.stage (fun () ->
-           ok_p (Processor.run ~optimize:false warm ~schema:global parsed)))
-  in
-  let q5_parsed =
-    Parser.parse_exn (Queries.find 5).Automed_ispider.Queries.global_text
-  in
-  let q5_optimized =
-    Test.make ~name:"q5-eval-optimized"
-      (Staged.stage (fun () -> ok_p (Processor.run warm ~schema:global q5_parsed)))
-  in
-  let q5_unoptimized =
-    Test.make ~name:"ablation-q5-no-optimizer"
-      (Staged.stage (fun () ->
-           ok_p (Processor.run ~optimize:false warm ~schema:global q5_parsed)))
-  in
-  let iql_eval_cold =
-    Test.make ~name:"query-eval-cold-cache"
-      (Staged.stage (fun () ->
-           let p = Processor.create intersection_repo in
-           ok_p (Processor.run p ~schema:global parsed)))
-  in
-  let reformulate =
-    Test.make ~name:"query-reformulate"
-      (Staged.stage (fun () ->
-           ok_p (Processor.reformulate warm ~schema:global parsed)))
-  in
-  let big_pathway =
-    List.concat_map
-      (fun (it : Workflow.iteration) ->
-        List.concat_map
-          (fun (_, (p : Transform.pathway)) -> p.Transform.steps)
-          it.Workflow.outcome.Intersection.side_pathways)
-      (Workflow.iterations intersection_run.Intersection_run.workflow)
-  in
-  let reverse =
-    Test.make ~name:"pathway-reverse"
-      (Staged.stage (fun () ->
-           Transform.reverse
-             { Transform.from_schema = "a"; to_schema = "b"; steps = big_pathway }))
-  in
-  let bag_a = Value.Bag.of_list (List.init 1000 (fun i -> Value.Int (i mod 400))) in
-  let bag_b =
-    Value.Bag.of_list (List.init 1000 (fun i -> Value.Int (i * 7 mod 500)))
-  in
-  let bag_union =
-    Test.make ~name:"bag-union-1k"
-      (Staged.stage (fun () -> Value.Bag.union bag_a bag_b))
-  in
-  (* ablation: canonical bags vs naive list concatenation + sort *)
-  let list_a = Value.Bag.to_list bag_a and list_b = Value.Bag.to_list bag_b in
-  let list_union =
-    Test.make ~name:"ablation-list-union-1k"
-      (Staged.stage (fun () ->
-           List.sort Value.compare (List.rev_append list_a list_b)))
-  in
-  let translate =
-    Test.make ~name:"query-translate"
-      (Staged.stage (fun () ->
-           ok_p
-             (Processor.translate warm ~from_schema:"pedro" ~to_schema:"i_protein"
-                (Parser.parse_exn "count(<<protein,accession_num>>)"))))
-  in
-  let group_query =
-    let parsed_group =
-      Parser.parse_exn
-        "[{o, count(g)} | {o, g} <- group([{x, k} | {s,k,x} <- \
-         <<UProtein,organism>>])]"
-    in
-    Test.make ~name:"group-aggregate"
-      (Staged.stage (fun () -> ok_p (Processor.run warm ~schema:global parsed_group)))
-  in
-  [
-    iql_parse; iql_eval_warm; iql_eval_unoptimized; q5_optimized;
-    q5_unoptimized; iql_eval_cold; reformulate; translate; group_query;
-    reverse; bag_union; list_union;
-  ]
-
-let run_bechamel () =
-  section "E-P1..E-P4  Bechamel micro-benchmarks (OLS on monotonic clock)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          match Analyze.one ols instance raw with
-          | ols_result -> (
-              match Analyze.OLS.estimates ols_result with
-              | Some (est :: _) ->
-                  Printf.printf "  %-28s %14.1f ns/run\n" name est
-              | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-          | exception _ -> Printf.printf "  %-28s (analysis failed)\n" name)
-        results)
-    (bechamel_tests ())
-
-let bench_federated_scaling () =
-  (* E-P5: federated-schema construction as the dataspace grows *)
-  section "E-P5  Federated schema construction scaling (wall clock)";
-  List.iter
-    (fun n ->
-      let repo = Repository.create () in
-      for i = 0 to n - 1 do
-        let objs =
-          List.concat
-            (List.init 5 (fun t ->
-                 let tn = Printf.sprintf "s%d_t%d" i t in
-                 (Scheme.table tn, None)
-                 :: List.init 4 (fun c ->
-                        (Scheme.column tn (Printf.sprintf "c%d" c), None))))
-        in
-        ok
-          (Repository.add_schema repo
-             (ok (Schema.of_objects (Printf.sprintf "s%d" i) objs)))
-      done;
-      let t0 = Telemetry.wall_clock () in
-      ignore
-        (ok
-           (Federated.create repo ~name:"F"
-              ~members:(List.init n (Printf.sprintf "s%d"))));
-      let dt = Telemetry.wall_clock () -. t0 in
-      Printf.printf "  %3d sources x 25 objects: %8.2f ms\n" n (dt *. 1000.0))
-    [ 2; 4; 8; 16; 32 ]
-
-let bench_scale_sweep () =
-  (* E-P7: the whole case study as the data volume grows *)
-  section "E-P7  Case-study scaling with data volume (wall clock)";
-  Printf.printf "  %8s %10s %12s %14s %14s\n" "proteins" "rows" "integrate"
-    "Q4 (cold)" "Q4 (warm)";
-  List.iter
-    (fun scale ->
-      let ds = Sources.generate ~scale () in
-      let rows =
-        List.fold_left
-          (fun acc db ->
-            List.fold_left
-              (fun acc t -> acc + Automed_datasource.Relational.row_count t)
-              acc
-              (Automed_datasource.Relational.tables db))
-          0
-          [ ds.Sources.pedro; ds.Sources.gpmdb; ds.Sources.pepseeker ]
-      in
-      let repo = Repository.create () in
-      ok (Sources.wrap_all repo ds);
-      let t0 = Telemetry.wall_clock () in
-      let run = ok (Intersection_run.execute repo) in
-      let t_integrate = Telemetry.wall_clock () -. t0 in
-      let proc = Processor.create repo in
-      let global = Workflow.global_name run.Intersection_run.workflow in
-      let q4 = Parser.parse_exn (Queries.find 4).Automed_ispider.Queries.global_text in
-      let t0 = Telemetry.wall_clock () in
-      ignore (ok_p (Processor.run proc ~schema:global q4));
-      let t_cold = Telemetry.wall_clock () -. t0 in
-      let t0 = Telemetry.wall_clock () in
-      ignore (ok_p (Processor.run proc ~schema:global q4));
-      let t_warm = Telemetry.wall_clock () -. t0 in
-      Printf.printf "  %8d %10d %10.1f ms %12.1f ms %12.2f ms\n" scale rows
-        (t_integrate *. 1000.0) (t_cold *. 1000.0) (t_warm *. 1000.0))
-    [ 10; 30; 100; 300 ]
-
-let bench_integration_end_to_end () =
-  (* E-P6: end-to-end integration runtime, intersection vs classical *)
-  section "E-P6  End-to-end integration runtime (wall clock)";
-  let time label f =
-    let t0 = Telemetry.wall_clock () in
-    f ();
-    Printf.printf "  %-44s %8.2f ms\n" label
-      ((Telemetry.wall_clock () -. t0) *. 1000.0)
-  in
-  time "intersection methodology (6 iterations)" (fun () ->
-      let repo = Repository.create () in
-      ok (Sources.wrap_all repo dataset);
-      ignore (ok (Intersection_run.execute repo)));
-  time "classical ladder (GS1-GS3)" (fun () ->
-      let repo = Repository.create () in
-      ok (Sources.wrap_all repo dataset);
-      ignore (ok (Classical_run.execute repo)))
+    o.queries_ok (List.length Queries.all);
+  if o.queries_ok <> List.length Queries.all then
+    die "recovered repository does not answer the case-study queries";
+  write_snapshot "BENCH_durability.json"
+    (Microjson.Obj
+       [
+         ("experiment", Str "E-D1");
+         ("journaled_ops", int o.journaled_ops);
+         ("journal_bytes", int o.journal_bytes);
+         ( "recovery",
+           Arr
+             (List.map
+                (fun (records, bytes) ->
+                  Microjson.Obj
+                    [ ("records", int records); ("journal_bytes", int bytes) ])
+                o.recover_points) );
+         ( "queries_after_recovery",
+           Obj
+             [ ("ok", int o.queries_ok);
+               ("total", int (List.length Queries.all)) ] );
+       ])
 
 (* -- E-S1: reachability pruning --------------------------------------------- *)
 
-(* Replayed-step and pruned-pathway counts and wall clock for the seven
-   case-study queries on a fresh integration, where the query processor
-   skips replaying a pathway for every object whose derivation through
-   it is provably empty.  The wall clock includes the one-off
+(* Replayed-step and pruned-pathway counts for the seven case-study
+   queries on a fresh integration, where the query processor skips
+   replaying a pathway for every object whose derivation through it is
+   provably empty.  The printed wall clock includes the one-off
    reachability analysis, which happens lazily at the first query. *)
 
-type pruning_outcome = {
-  pr_steps_replayed : int;
-  pr_pathways_pruned : int;
-  pr_wall_ms : float;
-  pr_cardinalities : (int * int) list;  (** query number -> answer size *)
-}
-
-let pruning_outcome () =
-  let mem = Telemetry.Memory.create () in
-  (* tee into the enclosing experiment sink (E-S1's, in the full run):
-     the run needs a private memory to read its own counters, but
-     replacing the outer sink outright left the E-S1 row of
-     BENCH_telemetry.json snapshotting zero metrics *)
-  let sink =
-    let mine = Telemetry.Memory.sink mem in
-    match Telemetry.installed () with
-    | Some outer -> Telemetry.tee mine outer
-    | None -> mine
-  in
-  Telemetry.with_sink sink @@ fun () ->
+(* fresh integration, then the seven queries checked against ground
+   truth: (query number, answer size) and the queries' wall clock *)
+let pruning_run () =
   let repo = Repository.create () in
   ok (Sources.wrap_all repo dataset);
-  let run = ok (Intersection_run.execute repo) in
-  let wf = run.Intersection_run.workflow in
-  let t0 = Telemetry.wall_clock () in
-  let cardinalities =
-    List.map
-      (fun (q : Queries.query) ->
-        match Workflow.run_query wf q.Queries.global_text with
-        | Ok (Value.Bag b) ->
-            if not (Value.Bag.equal b (q.Queries.ground_truth dataset)) then
-              die "E-S1: query %d does not match ground truth" q.Queries.number;
-            (q.Queries.number, Value.Bag.cardinal b)
-        | Ok v ->
-            die "E-S1 query %d returned %s" q.Queries.number (Value.to_string v)
-        | Error e ->
-            die "E-S1 query %d: %s" q.Queries.number
-              (Fmt.str "%a" Processor.pp_error e))
-      Queries.all
+  let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
+  timed @@ fun () ->
+  List.map
+    (fun (q : Queries.query) ->
+      match Workflow.run_query wf q.Queries.global_text with
+      | Ok (Value.Bag b) ->
+          if not (Value.Bag.equal b (q.Queries.ground_truth dataset)) then
+            die "E-S1: query %d does not match ground truth" q.Queries.number;
+          (q.Queries.number, Value.Bag.cardinal b)
+      | Ok v ->
+          die "E-S1 query %d returned %s" q.Queries.number (Value.to_string v)
+      | Error e ->
+          die "E-S1 query %d: %s" q.Queries.number
+            (Fmt.str "%a" Processor.pp_error e))
+    Queries.all
+
+let experiment_pruning ((cardinalities, wall_ms), m) =
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name m.Telemetry.Metrics.counters)
   in
-  let wall_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-  let c = Telemetry.Memory.counter mem in
-  {
-    pr_steps_replayed = c "processor.pathway_steps_replayed";
-    pr_pathways_pruned = c "processor.pathways_pruned";
-    pr_wall_ms = wall_ms;
-    pr_cardinalities = cardinalities;
-  }
-
-let experiment_pruning o =
+  let replayed = counter "processor.pathway_steps_replayed" in
+  let pruned = counter "processor.pathways_pruned" in
   section "E-S1  Reachability pruning: replayed pathway steps, 7 queries";
-  Printf.printf "  pathway steps replayed: %d\n" o.pr_steps_replayed;
-  Printf.printf "  pathways pruned (provably empty contribution): %d\n"
-    o.pr_pathways_pruned;
-  Printf.printf "  wall clock (7 queries): %.2f ms\n" o.pr_wall_ms;
-  Printf.printf "answers match ground truth\n"
-
-let write_pruning_snapshot path o =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-S1\",\n\
-        \  \"queries\": 7,\n\
-        \  \"answers_match_ground_truth\": true,\n\
-        \  \"pathway_steps_replayed\": %d,\n\
-        \  \"pathways_pruned\": %d,\n\
-        \  \"wall_ms\": %.3f,\n\
-        \  \"answers\": [%s]\n\
-         }\n"
-        o.pr_steps_replayed o.pr_pathways_pruned o.pr_wall_ms
-        (String.concat ", "
-           (List.map
-              (fun (n, c) ->
-                Printf.sprintf "{\"query\": %d, \"cardinality\": %d}" n c)
-              o.pr_cardinalities)))
+  Printf.printf "  pathway steps replayed: %d\n" replayed;
+  Printf.printf "  pathways pruned (provably empty contribution): %d\n" pruned;
+  Printf.printf "  wall clock (7 queries): %.2f ms\n" wall_ms;
+  Printf.printf "answers match ground truth\n";
+  write_snapshot "BENCH_analysis.json"
+    (Microjson.Obj
+       [
+         ("experiment", Str "E-S1");
+         ("queries", int (List.length cardinalities));
+         ("answers_match_ground_truth", Bool true);
+         ("pathway_steps_replayed", int replayed);
+         ("pathways_pruned", int pruned);
+         ( "answers",
+           Arr
+             (List.map
+                (fun (n, c) ->
+                  Microjson.Obj [ ("query", int n); ("cardinality", int c) ])
+                cardinalities) );
+       ])
 
 (* -- E-O1: provenance overhead -------------------------------------------- *)
 
 (* The seven case-study queries evaluated twice over the same repository
    with cold processors: the plain instance of the evaluator vs its
    lineage instance.  The answers must be bit-identical (both instances
-   run the same rules; the lineage instance only adds annotations), so
-   the only cost of provenance is wall clock and memory — this measures
-   the wall-clock side.  Every tuple's tamper-evidence digest is also
-   re-verified. *)
+   run the same rules; the lineage instance only adds annotations), and
+   every tuple's tamper-evidence digest is re-verified.  The printed
+   timings are single cold runs; bench/perf's faulty-lineage workload
+   measures [provenance.annotate_ms]. *)
 
 type provenance_outcome = {
   po_query : int;
@@ -1174,16 +780,17 @@ let provenance_outcomes () =
   List.map
     (fun (q : Queries.query) ->
       let ast = ok (Parser.parse q.Queries.global_text) in
-      let plain_proc = Processor.create intersection_repo in
-      let prov_proc = Processor.create intersection_repo in
-      let t0 = Telemetry.wall_clock () in
-      let plain = ok_p (Processor.run plain_proc ~schema ast) in
-      let plain_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-      let t0 = Telemetry.wall_clock () in
-      let ann = ok_p (Processor.run_provenance prov_proc ~schema ast) in
-      let prov_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-      Telemetry.observe "bench.provenance.plain_ms" plain_ms;
-      Telemetry.observe "bench.provenance.annotated_ms" prov_ms;
+      let plain, plain_ms =
+        timed (fun () ->
+            ok_p (Processor.run (Processor.create intersection_repo) ~schema ast))
+      in
+      let ann, prov_ms =
+        timed (fun () ->
+            ok_p
+              (Processor.run_provenance
+                 (Processor.create intersection_repo)
+                 ~schema ast))
+      in
       if Value.compare plain ann.Processor.result <> 0 then
         die "E-O1: query %d answer differs with provenance on"
           q.Queries.number;
@@ -1224,31 +831,27 @@ let experiment_provenance outcomes =
         o.po_tuples o.po_atoms o.po_hops)
     outcomes;
   Printf.printf
-    "\nanswers bit-identical with provenance on; every tuple MAC verified\n"
-
-let write_provenance_snapshot path outcomes =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-O1\",\n\
-        \  \"queries\": %d,\n\
-        \  \"answers_bit_identical\": true,\n\
-        \  \"macs_verified\": true,\n\
-        \  \"per_query\": [%s]\n\
-         }\n"
-        (List.length outcomes)
-        (String.concat ", "
-           (List.map
-              (fun o ->
-                Printf.sprintf
-                  "{\"query\": %d, \"plain_ms\": %.3f, \"annotated_ms\": \
-                   %.3f, \"tuples\": %d, \"atoms\": %d, \"hops\": %d}"
-                  o.po_query o.po_plain_ms o.po_prov_ms o.po_tuples
-                  o.po_atoms o.po_hops)
-              outcomes)))
+    "\nanswers bit-identical with provenance on; every tuple MAC verified\n";
+  write_snapshot "BENCH_provenance.json"
+    (Microjson.Obj
+       [
+         ("experiment", Str "E-O1");
+         ("queries", int (List.length outcomes));
+         ("answers_bit_identical", Bool true);
+         ("macs_verified", Bool true);
+         ( "per_query",
+           Arr
+             (List.map
+                (fun o ->
+                  Microjson.Obj
+                    [
+                      ("query", int o.po_query);
+                      ("tuples", int o.po_tuples);
+                      ("atoms", int o.po_atoms);
+                      ("hops", int o.po_hops);
+                    ])
+                outcomes) );
+       ])
 
 (* -- E-E1: schema-evolution churn ----------------------------------------- *)
 
@@ -1269,12 +872,11 @@ let write_provenance_snapshot path outcomes =
 
    Every cycle all seven answers must be bit-identical between the two
    paths (and to ground truth: the churn script never touches a queried
-   object).  The per-cycle numbers land in BENCH_evolution.json and the
-   live run's journal is dumped alongside for the CI artifact: repair
-   cost tracks the delta — the chain stays 1-2 steps, and the journaled
-   ops grow only with pedro's own pathway fan-out, never with the
-   repository — while the from-scratch control pays the full
-   integration plus a history replay that grows with every cycle. *)
+   object).  BENCH_evolution.json records each cycle's chain length,
+   journaled ops and repair-debt indicators, and the live run's journal
+   is dumped to BENCH_evolution.journal; the repair, live-query and
+   from-scratch wall clocks are printed only (bench/perf's churn
+   workload measures [evolution.evolve_ms.*]). *)
 
 let evolution_cycles = 50
 let evolution_fault_rate = 0.2
@@ -1319,7 +921,6 @@ let churn_delta i =
               (Scheme.table ("tmp" ^ k), Scheme.table ("kept" ^ k));
           ] )
   | _ -> Evolution.Drop_source ("sat" ^ k)
-
 type churn_cycle = {
   ec_cycle : int;
   ec_kind : string;  (** the plan's human description of the delta *)
@@ -1335,6 +936,36 @@ type churn_cycle = {
   ec_void_steps : int;  (** Void-degraded surface steps outside quarantines *)
 }
 
+(* The seven queries on [wf]; [experiment] names the failing run. *)
+let run_seven experiment wf =
+  List.map
+    (fun (q : Queries.query) ->
+      match Workflow.run_query wf q.Queries.global_text with
+      | Ok v -> (q, v)
+      | Error e ->
+          die "%s: query %d: %s" experiment q.Queries.number
+            (Fmt.str "%a" Processor.pp_error e))
+    Queries.all
+
+(* The from-scratch control after cycle [i]: a fresh integration with
+   the whole churn history replayed, answering the seven queries.
+   [identical] holds when [live] matches it and ground truth. *)
+let scratch_control experiment i =
+  let repo = Repository.create () in
+  ok (Sources.wrap_all repo dataset);
+  let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
+  for j = 0 to i do
+    ignore (ok (Evolution.evolve wf (churn_delta j)))
+  done;
+  run_seven experiment wf
+
+let identical live scratch =
+  List.for_all2
+    (fun ((q : Queries.query), lv) (_, sv) ->
+      Value.compare lv sv = 0
+      && Value.compare lv (Value.Bag (q.Queries.ground_truth dataset)) = 0)
+    live scratch
+
 let evolution_outcome () =
   (* the live dataspace: journaled, resilient, faults on pedro *)
   let repo = Repository.create () in
@@ -1346,46 +977,19 @@ let evolution_outcome () =
   let wf = run.Intersection_run.workflow in
   Resilience.inject res ~source:Sources.pedro_name
     (Resilience.Fault.rate evolution_fault_rate);
-  let run_seven wf' =
-    List.map
-      (fun (q : Queries.query) ->
-        match Workflow.run_query wf' q.Queries.global_text with
-        | Ok v -> (q, v)
-        | Error e ->
-            die "E-E1: query %d: %s" q.Queries.number
-              (Fmt.str "%a" Processor.pp_error e))
-      Queries.all
-  in
   let cycles =
     List.init evolution_cycles (fun i ->
         (* incremental repair on the live workflow *)
         let before = Durable.appended durable in
-        let t0 = Telemetry.wall_clock () in
-        let _ev, plan = ok (Evolution.evolve wf (churn_delta i)) in
-        let repair_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-        let journal_ops = Durable.appended durable - before in
-        let t0 = Telemetry.wall_clock () in
-        let live = run_seven wf in
-        let live_query_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-        (* the from-scratch control: fresh integration, replay history *)
-        let t0 = Telemetry.wall_clock () in
-        let scratch_repo = Repository.create () in
-        ok (Sources.wrap_all scratch_repo dataset);
-        let scratch_run = ok (Intersection_run.execute scratch_repo) in
-        let scratch_wf = scratch_run.Intersection_run.workflow in
-        for j = 0 to i do
-          ignore (ok (Evolution.evolve scratch_wf (churn_delta j)))
-        done;
-        let scratch = run_seven scratch_wf in
-        let scratch_ms = (Telemetry.wall_clock () -. t0) *. 1000.0 in
-        let identical =
-          List.for_all2
-            (fun ((q : Queries.query), lv) (_, sv) ->
-              Value.compare lv sv = 0
-              && Value.compare lv (Value.Bag (q.Queries.ground_truth dataset))
-                 = 0)
-            live scratch
+        let (_ev, plan), repair_ms =
+          timed (fun () -> ok (Evolution.evolve wf (churn_delta i)))
         in
+        let journal_ops = Durable.appended durable - before in
+        let live, live_query_ms = timed (fun () -> run_seven "E-E1" wf) in
+        let scratch, scratch_ms =
+          timed (fun () -> scratch_control "E-E1" i)
+        in
+        let root = Workflow.global_name wf in
         {
           ec_cycle = i;
           ec_kind = plan.Evolution.pl_kind;
@@ -1394,38 +998,51 @@ let evolution_outcome () =
           ec_repair_ms = repair_ms;
           ec_live_query_ms = live_query_ms;
           ec_scratch_ms = scratch_ms;
-          ec_identical = identical;
+          ec_identical = identical live scratch;
           (* debt priced on the current version's active surface — the
              view maintenance can actually pay down *)
-          ec_chain_depth =
-            Health.effective_chain_depth repo ~root:(Workflow.global_name wf);
-          ec_quarantined =
-            Health.quarantined_pathways ~root:(Workflow.global_name wf) repo;
-          ec_void_steps =
-            Health.void_degraded_steps ~root:(Workflow.global_name wf) repo;
+          ec_chain_depth = Health.effective_chain_depth repo ~root;
+          ec_quarantined = Health.quarantined_pathways ~root repo;
+          ec_void_steps = Health.void_degraded_steps ~root repo;
         })
   in
-  let journal = ok (Vfs.(vfs.read) Durable.journal_file) in
-  (* the per-cycle repair-debt curve rides along in this experiment's
-     BENCH_history.jsonl record (the E-H1 artefact) *)
-  history_extras :=
-    ( "E-E1",
-      Printf.sprintf "\"debt_curve\": [%s]"
-        (String.concat ", "
-           (List.map
-              (fun c ->
-                Printf.sprintf
-                  "{\"cycle\": %d, \"chain_depth\": %d, \"quarantined\": %d, \
-                   \"void_steps\": %d}"
-                  c.ec_cycle c.ec_chain_depth c.ec_quarantined c.ec_void_steps)
-              cycles)) )
-    :: !history_extras;
-  (cycles, journal)
+  (cycles, ok (Vfs.(vfs.read) Durable.journal_file))
 
 let mean f xs =
   List.fold_left (fun a x -> a +. f x) 0.0 xs /. float_of_int (List.length xs)
 
-let experiment_evolution (cycles, journal) =
+let evolution_journal = "BENCH_evolution.journal"
+
+let evolution_json (cycles, journal) =
+  Microjson.Obj
+    [
+      ("experiment", Str "E-E1");
+      ("cycles", int evolution_cycles);
+      ("fault_rate", Num evolution_fault_rate);
+      ("seed", seed evolution_seed);
+      ("faulty_source", Str Sources.pedro_name);
+      ("answers_bit_identical", Bool (List.for_all (fun c -> c.ec_identical) cycles));
+      ("journal_file", Str evolution_journal);
+      ("journal_bytes", int (String.length journal));
+      ( "per_cycle",
+        Arr
+          (List.map
+             (fun c ->
+               Microjson.Obj
+                 [
+                   ("cycle", int c.ec_cycle);
+                   ("kind", Str c.ec_kind);
+                   ("chain_steps", int c.ec_chain_steps);
+                   ("journal_ops", int c.ec_journal_ops);
+                   ("identical", Bool c.ec_identical);
+                   ("chain_depth", int c.ec_chain_depth);
+                   ("quarantined", int c.ec_quarantined);
+                   ("void_steps", int c.ec_void_steps);
+                 ])
+             cycles) );
+    ]
+
+let experiment_evolution ((cycles, journal) as outcome) =
   section
     (Printf.sprintf
        "E-E1  Evolution churn: %d evolve+query cycles, %.0f%% faults on pedro"
@@ -1444,8 +1061,7 @@ let experiment_evolution (cycles, journal) =
   let second = List.filteri (fun i _ -> i >= half) cycles in
   Printf.printf
     "\n\
-     mean repair: %.2f ms (cycles 0-%d) vs %.2f ms (cycles %d-%d) — flat \
-     while the repository grows\n"
+     mean repair: %.2f ms (cycles 0-%d) vs %.2f ms (cycles %d-%d)\n"
     (mean (fun c -> c.ec_repair_ms) first)
     (half - 1)
     (mean (fun c -> c.ec_repair_ms) second)
@@ -1457,7 +1073,10 @@ let experiment_evolution (cycles, journal) =
     (mean (fun c -> c.ec_scratch_ms) second);
   Printf.printf "evolution journal: %d bytes\n" (String.length journal);
   if not (List.for_all (fun c -> c.ec_identical) cycles) then
-    die "E-E1: an incremental answer differs from the from-scratch control"
+    die "E-E1: an incremental answer differs from the from-scratch control";
+  Out_channel.with_open_bin evolution_journal (fun oc ->
+      output_string oc journal);
+  write_snapshot "BENCH_evolution.json" (evolution_json outcome)
 
 (* -- E-H1: the repair-debt growth curve over the E-E1 churn --------------- *)
 
@@ -1503,52 +1122,9 @@ let experiment_debt_curve (cycles, _journal) =
         "quarantined pathways stay under their warn threshold for the whole \
          run\n"
 
-let write_evolution_snapshot path (cycles, journal) =
-  let journal_path = "BENCH_evolution.journal" in
-  let oc = open_out_bin journal_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc journal);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let cycle_json c =
-        Printf.sprintf
-          "{\"cycle\": %d, \"kind\": %s, \"chain_steps\": %d, \
-           \"journal_ops\": %d, \"repair_ms\": %.3f, \"live_query_ms\": \
-           %.3f, \"scratch_ms\": %.3f, \"identical\": %b, \"chain_depth\": \
-           %d, \"quarantined\": %d, \"void_steps\": %d}"
-          c.ec_cycle (Microjson.escape c.ec_kind) c.ec_chain_steps
-          c.ec_journal_ops c.ec_repair_ms c.ec_live_query_ms c.ec_scratch_ms
-          c.ec_identical c.ec_chain_depth c.ec_quarantined c.ec_void_steps
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-E1\",\n\
-        \  \"cycles\": %d,\n\
-        \  \"fault_rate\": %.2f,\n\
-        \  \"seed\": %Ld,\n\
-        \  \"faulty_source\": %s,\n\
-        \  \"answers_bit_identical\": %b,\n\
-        \  \"mean_repair_ms\": %.3f,\n\
-        \  \"mean_scratch_ms\": %.3f,\n\
-        \  \"journal_file\": %s,\n\
-        \  \"journal_bytes\": %d,\n\
-        \  \"per_cycle\": [%s]\n\
-         }\n"
-        evolution_cycles evolution_fault_rate evolution_seed
-        (Microjson.escape Sources.pedro_name)
-        (List.for_all (fun c -> c.ec_identical) cycles)
-        (mean (fun c -> c.ec_repair_ms) cycles)
-        (mean (fun c -> c.ec_scratch_ms) cycles)
-        (Microjson.escape journal_path)
-        (String.length journal)
-        (String.concat ",\n    " (List.map cycle_json cycles)))
-
 (* -- E-M1: autonomic maintenance over a 200-cycle churn ------------------- *)
 
-(* The tentpole experiment: the same deterministic churn script as E-E1
+(* The longest experiment: the same deterministic churn script as E-E1
    but four times as long, run twice.  The OFF arm is left unmaintained
    and only its debt curve is recorded (the contrast).  The ON arm gets
    one maintenance-scheduler tick after every cycle, and every cycle
@@ -1626,16 +1202,6 @@ let maintenance_on_arm () =
   Resilience.inject res ~source:Sources.pedro_name
     (Resilience.Fault.rate evolution_fault_rate);
   let scheduler = Maintain.Scheduler.create () in
-  let run_seven wf' =
-    List.map
-      (fun (q : Queries.query) ->
-        match Workflow.run_query wf' q.Queries.global_text with
-        | Ok v -> (q, v)
-        | Error e ->
-            die "E-M1: query %d: %s" q.Queries.number
-              (Fmt.str "%a" Processor.pp_error e))
-      Queries.all
-  in
   let cycles =
     List.init maintenance_cycles (fun i ->
         ignore (ok (Evolution.evolve wf (churn_delta i)));
@@ -1646,25 +1212,10 @@ let maintenance_on_arm () =
           | Ok evs -> evs
           | Error e -> die "E-M1: scheduler tick %d: %s" i e
         in
-        let live = run_seven wf in
-        (* the from-scratch control: fresh integration, full unmaintained
-           history replay — the answer baseline maintenance must match *)
-        let scratch_repo = Repository.create () in
-        ok (Sources.wrap_all scratch_repo dataset);
-        let scratch_run = ok (Intersection_run.execute scratch_repo) in
-        let scratch_wf = scratch_run.Intersection_run.workflow in
-        for j = 0 to i do
-          ignore (ok (Evolution.evolve scratch_wf (churn_delta j)))
-        done;
-        let scratch = run_seven scratch_wf in
-        let identical =
-          List.for_all2
-            (fun ((q : Queries.query), lv) (_, sv) ->
-              Value.compare lv sv = 0
-              && Value.compare lv (Value.Bag (q.Queries.ground_truth dataset))
-                 = 0)
-            live scratch
-        in
+        let live = run_seven "E-M1" wf in
+        (* the from-scratch control replays the full unmaintained history:
+           the answer baseline maintenance must match *)
+        let identical = identical live (scratch_control "E-M1" i) in
         let report = Health.assess ~resilience:res ~durable wf in
         let v name = int_of_float (m_indicator report name).Health.i_value in
         let worst =
@@ -1691,37 +1242,51 @@ let maintenance_on_arm () =
 let maintenance_outcome () =
   let off = maintenance_off_arm () in
   let on, events = maintenance_on_arm () in
-  (* a sampled debt curve rides along in the E-M1 BENCH_history.jsonl
-     record; the full per-cycle data lives in BENCH_maintain.json *)
-  let sampled pred to_json rows =
-    String.concat ", " (List.map to_json (List.filter pred rows))
-  in
-  history_extras :=
-    ( "E-M1",
-      Printf.sprintf
-        "\"actions\": %d, \"debt_curve\": {\"maintained\": [%s], \
-         \"unmaintained\": [%s]}"
-        (List.length events)
-        (sampled
-           (fun c -> c.mc_cycle mod 10 = 9 || c.mc_cycle = 0)
-           (fun c ->
-             Printf.sprintf
-               "{\"cycle\": %d, \"chain_depth\": %d, \"quarantined\": %d, \
-                \"void_steps\": %d}"
-               c.mc_cycle c.mc_depth c.mc_quarantined c.mc_void)
-           on)
-        (sampled
-           (fun (i, _, _, _) -> i mod 10 = 9 || i = 0)
-           (fun (i, d, q, v) ->
-             Printf.sprintf
-               "{\"cycle\": %d, \"chain_depth\": %d, \"quarantined\": %d, \
-                \"void_steps\": %d}"
-               i d q v)
-           off) )
-    :: !history_extras;
   (off, on, events)
 
-let experiment_maintenance (off, on, events) =
+let maintenance_json (off, on, events) =
+  let debt cycle depth quarantined void =
+    [ ("cycle", int cycle); ("chain_depth", int depth);
+      ("quarantined", int quarantined); ("void_steps", int void) ]
+  in
+  Microjson.Obj
+    [
+      ("experiment", Str "E-M1");
+      ("cycles", int maintenance_cycles);
+      ("fault_rate", Num evolution_fault_rate);
+      ("seed", seed evolution_seed);
+      ("answers_bit_identical", Bool (List.for_all (fun c -> c.mc_identical) on));
+      ( "events",
+        Arr
+          (List.map
+             (fun (e : Maintain.event) ->
+               Microjson.Obj
+                 [
+                   ("tick", int e.Maintain.e_tick);
+                   ("action", Str (Maintain.action_label e.Maintain.e_action));
+                   ("trigger", Str e.Maintain.e_trigger);
+                   ("outcome", Str e.Maintain.e_outcome);
+                 ])
+             events) );
+      ( "maintained",
+        Arr
+          (List.map
+             (fun (c : m_cycle) ->
+               Microjson.Obj
+                 (debt c.mc_cycle c.mc_depth c.mc_quarantined c.mc_void
+                 @ [
+                     ("retired", int c.mc_retired);
+                     ("journal_bytes", int c.mc_journal);
+                     ("worst", Str (Health.level_label c.mc_worst));
+                     ("events", Arr (List.map (fun e -> Microjson.Str e) c.mc_events));
+                     ("identical", Bool c.mc_identical);
+                   ]))
+             on) );
+      ( "unmaintained",
+        Arr (List.map (fun (i, d, q, v) -> Microjson.Obj (debt i d q v)) off) );
+    ]
+
+let experiment_maintenance ((off, on, events) as outcome) =
   section
     (Printf.sprintf
        "E-M1  Autonomic maintenance: %d evolve+query cycles, %.0f%% faults, \
@@ -1792,227 +1357,68 @@ let experiment_maintenance (off, on, events) =
       (Health.level_label worst);
   if max_depth > 13 then
     die "E-M1: chain depth reached %d — not bounded by the scheduler"
-      max_depth
+      max_depth;
+  write_snapshot "BENCH_maintain.json" (maintenance_json outcome)
 
-let write_maintenance_snapshot path (off, on, events) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let on_json (c : m_cycle) =
-        Printf.sprintf
-          "{\"cycle\": %d, \"chain_depth\": %d, \"quarantined\": %d, \
-           \"void_steps\": %d, \"retired\": %d, \"journal_bytes\": %d, \
-           \"worst\": %s, \"events\": [%s], \"identical\": %b}"
-          c.mc_cycle c.mc_depth c.mc_quarantined c.mc_void c.mc_retired
-          c.mc_journal
-          (Microjson.escape (Health.level_label c.mc_worst))
-          (String.concat ", " (List.map Microjson.escape c.mc_events))
-          c.mc_identical
-      in
-      let off_json (i, d, q, v) =
-        Printf.sprintf
-          "{\"cycle\": %d, \"chain_depth\": %d, \"quarantined\": %d, \
-           \"void_steps\": %d}"
-          i d q v
-      in
-      let event_json (e : Maintain.event) =
-        Printf.sprintf
-          "{\"tick\": %d, \"action\": %s, \"trigger\": %s, \"outcome\": %s}"
-          e.Maintain.e_tick
-          (Microjson.escape (Maintain.action_label e.Maintain.e_action))
-          (Microjson.escape e.Maintain.e_trigger)
-          (Microjson.escape e.Maintain.e_outcome)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"experiment\": \"E-M1\",\n\
-        \  \"cycles\": %d,\n\
-        \  \"fault_rate\": %.2f,\n\
-        \  \"seed\": %Ld,\n\
-        \  \"answers_bit_identical\": %b,\n\
-        \  \"events\": [%s],\n\
-        \  \"maintained\": [%s],\n\
-        \  \"unmaintained\": [%s]\n\
-         }\n"
-        maintenance_cycles evolution_fault_rate evolution_seed
-        (List.for_all (fun c -> c.mc_identical) on)
-        (String.concat ",\n    " (List.map event_json events))
-        (String.concat ",\n    " (List.map on_json on))
-        (String.concat ",\n    " (List.map off_json off)))
+(* -- counts: the exact work-count gate ------------------------------------ *)
 
-(* -- diff: bench-regression gate vs the committed history ----------------- *)
-
-(* [bench/main.exe diff] re-runs the deterministic experiments — E-T1,
-   E-CS1 and E-S1, in the same order as the full harness so shared-state
-   cache warmth matches — under fresh sinks and compares their span
-   counts and counters against the last full run recorded in the
-   committed BENCH_history.jsonl.  On the fixed dataset those numbers
-   must reproduce exactly, so drift beyond 10% fails the gate (exit 1):
-   a probe that silently vanished, a plan that stopped pruning, a cache
-   that stopped hitting.  Wall-clock percentiles are reported for
-   context but only gated with [diff --strict-wall] (75% threshold),
-   since shared CI runners make small timing drift meaningless. *)
-
-let diff_experiments = [ "E-T1"; "E-CS1"; "E-S1" ]
-
-let samples_of_metrics experiment (m : Telemetry.Metrics.t) =
-  let open Bench_diff in
-  ({ experiment; metric = "spans";
-     value = float_of_int m.Telemetry.Metrics.spans; kind = Count }
-  :: List.map
-       (fun (n, v) ->
-         { experiment; metric = n; value = float_of_int v; kind = Count })
-       m.Telemetry.Metrics.counters)
-  @ List.map
+(* [bench/main.exe counts] re-runs the deterministic experiments, each
+   under a fresh memory sink, and prints what each recorded: its span
+   count, every counter and every histogram's observation count, one per
+   line and sorted by name.  On the seeded dataset these reproduce
+   exactly, so the runtest rule in bench/dune diffs them against the
+   committed bench/work_counts.expected: a probe that vanished, a plan
+   that stopped pruning, a cache that stopped hitting or one extra
+   traced fetch fails the build.  Work that no probe sees does not show.
+   A deliberate change is re-baselined with [dune promote]. *)
+let run_counts () =
+  let print name (m : Telemetry.Metrics.t) =
+    Printf.printf "%s spans %d\n" name m.Telemetry.Metrics.spans;
+    List.iter
+      (fun (n, v) -> Printf.printf "%s counter %s %d\n" name n v)
+      m.Telemetry.Metrics.counters;
+    List.iter
       (fun (n, (h : Telemetry.Memory.histo)) ->
-        { experiment; metric = n ^ ".n";
-          value = float_of_int h.Telemetry.Memory.n; kind = Count })
+        Printf.printf "%s histogram %s n %d\n" name n h.Telemetry.Memory.n)
       m.Telemetry.Metrics.histograms
-  @ List.map
-      (fun (n, (q : Telemetry.Memory.quantiles)) ->
-        { experiment; metric = n ^ ".p50";
-          value = q.Telemetry.Memory.q50; kind = Wall })
-      m.Telemetry.Metrics.quantiles
-
-(* The baseline is the span count and counters of each gated
-   experiment's last "full" record in the tracked history file.  [diff]
-   runs append nothing to it, so the gate leaves its own baseline
-   untouched. *)
-let baseline_samples path =
-  let ic = try open_in_bin path with Sys_error e -> die "%s" e in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> String.split_on_char '\n' (In_channel.input_all ic))
   in
-  let last = Hashtbl.create 3 in
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        let j =
-          match Microjson.parse line with
-          | Ok j -> j
-          | Error e -> die "%s: a record does not parse: %s" path e
-        in
-        match (Microjson.member "mode" j, Microjson.member "experiment" j) with
-        | Some (Microjson.Str "full"), Some (Microjson.Str experiment)
-          when List.mem experiment diff_experiments ->
-            Hashtbl.replace last experiment j
-        | _ -> ())
-    lines;
-  let open Bench_diff in
-  List.concat_map
-    (fun experiment ->
-      let record =
-        match Hashtbl.find_opt last experiment with
-        | Some j -> j
-        | None -> die "%s: no full-run record of %s" path experiment
-      in
-      let count metric = function
-        | Microjson.Num value ->
-            Some { experiment; metric; value; kind = Count }
-        | _ -> None
-      in
-      let spans =
-        Option.bind (Microjson.member "spans" record) (count "spans")
-        |> Option.to_list
-      in
-      let counters =
-        match Microjson.member "counters" record with
-        | Some (Microjson.Obj cs) ->
-            List.filter_map (fun (n, v) -> count n v) cs
-        | _ -> []
-      in
-      spans @ counters)
-    diff_experiments
+  let count name f = print name (snd (measured f)) in
+  count "E-T1" table1_run;
+  count "E-CS1" effort_run;
+  count "E-R1" resilience_outcomes;
+  count "E-S1" pruning_run;
+  count "E-O1" provenance_outcomes
 
-let run_diff ~strict_wall () =
-  let baseline = baseline_samples history_file in
-  with_telemetry "E-T1" experiment_table1;
-  with_telemetry "E-CS1" experiment_counts;
-  experiment_pruning (with_telemetry "E-S1" pruning_outcome);
-  let current =
-    List.concat_map
-      (fun (name, _wall_ms, m) -> samples_of_metrics name m)
-      (List.rev !snapshots)
-  in
-  let config = { Bench_diff.default_config with Bench_diff.gate_wall = strict_wall } in
-  let findings = Bench_diff.diff ~config ~baseline current in
-  section "bench diff: fresh run vs the last full run in BENCH_history.jsonl";
-  print_string (Bench_diff.to_text findings);
-  if Bench_diff.gate_failures findings <> [] then exit 1
+(* -- entries ---------------------------------------------------------------- *)
 
-(* [bench/main.exe evolution] runs only the churn experiment — the CI
-   churn job's entry point (everything stays seeded, so the standalone
-   run produces the same snapshot as the full harness). *)
-let run_evolution_only () =
-  let evolution = with_telemetry "E-E1" evolution_outcome in
-  experiment_evolution evolution;
-  experiment_debt_curve evolution;
-  write_evolution_snapshot "BENCH_evolution.json" evolution;
-  Printf.printf
-    "wrote BENCH_evolution.json (E-E1 snapshot) and BENCH_evolution.journal\n"
-
-(* [bench/main.exe maintenance] runs only E-M1 — the CI long-churn
-   maintenance job's entry point (seeded, so runs reproduce). *)
-let run_maintenance_only () =
-  let outcome = with_telemetry "E-M1" maintenance_outcome in
-  experiment_maintenance outcome;
-  write_maintenance_snapshot "BENCH_maintain.json" outcome;
-  Printf.printf "wrote BENCH_maintain.json (E-M1 snapshot)\n"
-
-(* [bench/main.exe durability] runs only E-D1, so its snapshot can be
-   regenerated without rewriting every other one. *)
-let run_durability_only () =
-  let durability = with_telemetry "E-D1" durability_outcome in
-  experiment_durability durability;
-  write_durability_snapshot "BENCH_durability.json" durability;
-  Printf.printf "wrote BENCH_durability.json (E-D1 snapshot)\n"
-
-let run_all () =
-  with_telemetry "E-T1" experiment_table1;
-  with_telemetry "E-CS1" experiment_counts;
-  with_telemetry "E-CS2" experiment_payg;
-  with_telemetry "E-F1..E-F4" experiment_figures;
-  with_telemetry "E-FW1" experiment_user_cost;
-  let resilience = with_telemetry "E-R1" resilience_outcomes in
-  experiment_resilience resilience;
-  write_resilience_snapshot "BENCH_resilience.json" resilience;
-  Printf.printf "wrote BENCH_resilience.json (E-R1 snapshot)\n";
-  run_durability_only ();
-  let pruning = with_telemetry "E-S1" pruning_outcome in
-  experiment_pruning pruning;
-  write_pruning_snapshot "BENCH_analysis.json" pruning;
-  Printf.printf "wrote BENCH_analysis.json (E-S1 snapshot)\n";
-  let provenance = with_telemetry "E-O1" provenance_outcomes in
-  experiment_provenance provenance;
-  write_provenance_snapshot "BENCH_provenance.json" provenance;
-  Printf.printf "wrote BENCH_provenance.json (E-O1 snapshot)\n";
-  run_evolution_only ();
-  run_bechamel () (* no sink: keep the measured path probe-free *);
-  with_telemetry "E-P5" bench_federated_scaling;
-  with_telemetry "E-P6" bench_integration_end_to_end;
-  with_telemetry "E-P7" bench_scale_sweep;
-  write_snapshots "BENCH_telemetry.json";
-  Printf.printf "\nwrote BENCH_telemetry.json (per-experiment metric snapshots)\n";
-  append_history ~mode:"full";
-  Printf.printf "all experiments completed.\n"
-
-(* [bench/main.exe NAME] runs one entry; no argument runs them all *)
-let entries =
-  let logged mode run () =
-    run ();
-    append_history ~mode
-  in
+(* The full run, in order; each entry also runs alone by name. *)
+let experiments =
   [
-    ("all", run_all);
-    ("evolution", logged "evolution" run_evolution_only);
-    ("maintenance", logged "maintenance" run_maintenance_only);
-    ("durability", run_durability_only);
-    ( "diff",
-      fun () -> run_diff ~strict_wall:(Array.mem "--strict-wall" Sys.argv) () );
+    ("table1", fun () -> experiment_table1 (table1_run ()));
+    ("effort", fun () -> experiment_effort (effort_run ()));
+    ("payg", experiment_payg);
+    ("figures", experiment_figures);
+    ("user-cost", experiment_user_cost);
+    ("resilience", fun () -> experiment_resilience (resilience_outcomes ()));
+    ("durability", fun () -> experiment_durability (durability_outcome ()));
+    ("pruning", fun () -> experiment_pruning (measured pruning_run));
+    ("provenance", fun () -> experiment_provenance (provenance_outcomes ()));
+    ( "evolution",
+      fun () ->
+        let outcome = evolution_outcome () in
+        experiment_evolution outcome;
+        experiment_debt_curve outcome );
   ]
+
+(* [bench/main.exe NAME] runs one entry; no argument runs the full run.
+   E-M1 ([maintenance]) is not part of it: its from-scratch control is
+   O(n^2) over 200 cycles. *)
+let entries =
+  ("all", fun () -> List.iter (fun (_, run) -> run ()) experiments)
+  :: ("counts", run_counts)
+  :: ( "maintenance",
+       fun () -> experiment_maintenance (maintenance_outcome ()) )
+  :: experiments
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -33,12 +33,6 @@ let all =
       "simplified pathways accepted by the independent Equiv certifier";
     c "analysis.rewrites_refused" "rewrites"
       "simplified pathways the certifier could not prove equivalent";
-    h "bench.provenance.annotated_ms" "ms"
-      "E-O1 per-query wall clock with the lineage-carrying evaluator";
-    h "bench.provenance.plain_ms" "ms"
-      "E-O1 per-query wall clock with the reference evaluator";
-    h "bench.query_ms" "ms"
-      "bench-harness per-query wall clock over the global schema";
     c "durable.append" "records"
       "repository mutations appended to the write-ahead journal";
     c "durable.replay" "records"

@@ -46,13 +46,14 @@ type config = {
    steps) onto the surface and every 5-cycle block leaves ~6
    quarantine-shaped pathways behind, so over the E-E1/E-H1 50-cycle
    run chain depth crosses warn at cycle 13 and quarantines at cycle
-   19, both reaching critical around cycle 44 (the E-H1 debt curve in
-   BENCH_history.jsonl shows the crossings); [Void]-step debt grows
-   more slowly (~924 after one cycle, ~1514 after 50) and crosses warn
-   on E-M1's 200-cycle unmaintained horizon.  The maintained E-M1 arm
-   stays below warn on every core indicator for 200 cycles: compaction
-   pays the chain-depth and [Void]-step debt (interior links leave the
-   surface), reclamation the quarantine and retired-source debt. *)
+   19, both reaching critical around cycle 44 (E-H1 prints the
+   crossings; BENCH_evolution.json has the per-cycle curve);
+   [Void]-step debt grows more slowly (~924 after one cycle, ~1514
+   after 50) and crosses warn on E-M1's 200-cycle unmaintained
+   horizon.  The maintained E-M1 arm stays below warn on every core
+   indicator for 200 cycles: compaction pays the chain-depth and
+   [Void]-step debt (interior links leave the surface), reclamation the
+   quarantine and retired-source debt. *)
 let default_config =
   {
     chain_depth = { warn = 14.0; critical = 42.0 };

@@ -201,6 +201,49 @@ let parse (s : string) : (t, string) result =
   | v -> Ok v
   | exception Fail (p, m) -> Error (Printf.sprintf "at offset %d: %s" p m)
 
+(* Integral values print without a fractional part; any other finite
+   number prints with the fewest digits that read back to it. *)
+let to_number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_finite f then
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  else "null"
+
+let to_string v =
+  let b = Buffer.create 1024 in
+  let add = Buffer.add_string b in
+  let list sep f xs =
+    List.iteri (fun i x -> if i > 0 then add sep; f x) xs
+  in
+  let rec inline = function
+    | Null -> add "null"
+    | Bool x -> add (string_of_bool x)
+    | Num f -> add (to_number f)
+    | Str s -> add (escape s)
+    | Arr vs -> add "["; list ", " inline vs; add "]"
+    | Obj kvs -> add "{"; list ", " member kvs; add "}"
+  and member (k, v) = add (escape k); add ": "; inline v in
+  let is_container = function Arr _ | Obj _ -> true | _ -> false in
+  let rec block indent = function
+    | Obj (_ :: _ as kvs) ->
+        let inner = indent ^ "  " in
+        add "{\n";
+        list ",\n"
+          (fun (k, v) -> add inner; add (escape k); add ": "; block inner v)
+          kvs;
+        add ("\n" ^ indent ^ "}")
+    | Arr vs when List.exists is_container vs ->
+        let inner = indent ^ "  " in
+        add "[\n";
+        list ",\n" (fun v -> add inner; inline v) vs;
+        add ("\n" ^ indent ^ "]")
+    | v -> inline v
+  in
+  block "" v;
+  add "\n";
+  Buffer.contents b
+
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None

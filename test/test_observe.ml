@@ -1,8 +1,6 @@
 (* The health observatory: metrics-catalog integrity and source
-   scanning, health-threshold boundary classification, repair-debt
-   walkers over hand-built pathways, and the bench-diff regression
-   detector (including the synthetic 2x slowdown the CI gate exists
-   for). *)
+   scanning, health-threshold boundary classification, and repair-debt
+   walkers over hand-built pathways. *)
 
 module Scheme = Automed_base.Scheme
 module Schema = Automed_model.Schema
@@ -15,7 +13,6 @@ module Telemetry = Automed_telemetry.Telemetry
 module Microjson = Automed_telemetry.Microjson
 module Catalog = Automed_observe.Catalog
 module Health = Automed_observe.Health
-module Bench_diff = Automed_observe.Bench_diff
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let q = Parser.parse_exn
@@ -253,88 +250,6 @@ let test_void_degraded_steps () =
   Alcotest.(check bool) "degradation warn triggers re-integration" true
     r.Health.r_needs_reintegration
 
-(* -- bench diff ----------------------------------------------------------- *)
-
-let sample experiment metric value kind =
-  { Bench_diff.experiment; metric; value; kind }
-
-let test_diff_flags_2x_slowdown () =
-  let baseline = [ sample "E-T1" "bench.query_ms.p50" 10.0 Bench_diff.Wall ] in
-  let current = [ sample "E-T1" "bench.query_ms.p50" 20.0 Bench_diff.Wall ] in
-  let findings = Bench_diff.diff ~baseline current in
-  Alcotest.(check int) "one finding" 1 (List.length findings);
-  let f = List.hd findings in
-  Alcotest.(check bool) "2x slowdown is flagged as a regression" true
-    (f.Bench_diff.f_verdict = Bench_diff.Regressed);
-  Alcotest.(check (float 0.001)) "change is +100%" 100.0 f.Bench_diff.f_change_pct;
-  Alcotest.(check bool) "wall drift does not gate by default" false
-    f.Bench_diff.f_gate;
-  (* --strict-wall turns the same regression into a gate failure *)
-  let config = { Bench_diff.default_config with Bench_diff.gate_wall = true } in
-  let gated = Bench_diff.diff ~config ~baseline current in
-  Alcotest.(check int) "strict-wall gates it" 1
-    (List.length (Bench_diff.gate_failures gated))
-
-let test_diff_count_drift_gates () =
-  let baseline = [ sample "E-T1" "processor.runs" 100.0 Bench_diff.Count ] in
-  let current = [ sample "E-T1" "processor.runs" 120.0 Bench_diff.Count ] in
-  let findings = Bench_diff.diff ~baseline current in
-  Alcotest.(check int) "count drift beyond 10% fails the gate" 1
-    (List.length (Bench_diff.gate_failures findings))
-
-let test_diff_small_drift_steady () =
-  let baseline =
-    [
-      sample "E-T1" "processor.runs" 100.0 Bench_diff.Count;
-      sample "E-T1" "bench.query_ms.p50" 10.0 Bench_diff.Wall;
-    ]
-  in
-  let current =
-    [
-      sample "E-T1" "processor.runs" 105.0 Bench_diff.Count;
-      sample "E-T1" "bench.query_ms.p50" 14.0 Bench_diff.Wall;
-    ]
-  in
-  let findings = Bench_diff.diff ~baseline current in
-  Alcotest.(check bool) "tolerated drift is steady" true
-    (List.for_all (fun f -> f.Bench_diff.f_verdict = Bench_diff.Steady) findings);
-  Alcotest.(check int) "nothing gates" 0
-    (List.length (Bench_diff.gate_failures findings));
-  (* an improvement is reported but never gated *)
-  let improved =
-    Bench_diff.diff ~baseline [ sample "E-T1" "processor.runs" 50.0 Bench_diff.Count ]
-  in
-  Alcotest.(check bool) "improvement verdict" true
-    (List.exists (fun f -> f.Bench_diff.f_verdict = Bench_diff.Improved) improved);
-  Alcotest.(check bool) "improvements do not gate" true
-    (List.for_all (fun f -> not f.Bench_diff.f_gate) improved)
-
-let test_diff_missing_and_new () =
-  let baseline = [ sample "E-T1" "processor.runs" 100.0 Bench_diff.Count ] in
-  let current = [ sample "E-T1" "processor.cache_hits" 5.0 Bench_diff.Count ] in
-  let findings = Bench_diff.diff ~baseline current in
-  let find metric =
-    List.find (fun f -> f.Bench_diff.f_metric = metric) findings
-  in
-  Alcotest.(check bool) "vanished count metric gates" true
-    (find "processor.runs").Bench_diff.f_gate;
-  Alcotest.(check bool) "vanished verdict" true
-    ((find "processor.runs").Bench_diff.f_verdict = Bench_diff.Missing_metric);
-  let fresh = find "processor.cache_hits" in
-  Alcotest.(check bool) "new metric reported, not gated" true
-    (fresh.Bench_diff.f_verdict = Bench_diff.New_metric
-    && not fresh.Bench_diff.f_gate)
-
-let test_diff_zero_baseline () =
-  let baseline = [ sample "E" "m" 0.0 Bench_diff.Count ] in
-  let same = Bench_diff.diff ~baseline [ sample "E" "m" 0.0 Bench_diff.Count ] in
-  Alcotest.(check bool) "0 -> 0 is steady" true
-    ((List.hd same).Bench_diff.f_verdict = Bench_diff.Steady);
-  let appeared = Bench_diff.diff ~baseline [ sample "E" "m" 3.0 Bench_diff.Count ] in
-  Alcotest.(check bool) "0 -> 3 regresses and gates" true
-    ((List.hd appeared).Bench_diff.f_verdict = Bench_diff.Regressed
-    && (List.hd appeared).Bench_diff.f_gate)
-
 let suite =
   [
     Alcotest.test_case "catalog sorted and unique" `Quick
@@ -358,13 +273,4 @@ let suite =
       test_quarantined_pathways;
     Alcotest.test_case "void-degraded steps walker" `Quick
       test_void_degraded_steps;
-    Alcotest.test_case "diff flags a 2x slowdown" `Quick
-      test_diff_flags_2x_slowdown;
-    Alcotest.test_case "diff gates count drift" `Quick
-      test_diff_count_drift_gates;
-    Alcotest.test_case "diff tolerates small drift" `Quick
-      test_diff_small_drift_steady;
-    Alcotest.test_case "diff missing and new metrics" `Quick
-      test_diff_missing_and_new;
-    Alcotest.test_case "diff zero baseline" `Quick test_diff_zero_baseline;
   ]

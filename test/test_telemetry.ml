@@ -424,6 +424,45 @@ let test_hostile_names_jsonl () =
       | Error e -> Alcotest.failf "jsonl line %S not JSON: %s" l e)
     lines
 
+(* Microjson.to_string: one fixed layout that parses back to the value *)
+let test_json_to_string () =
+  let open Microjson in
+  let doc =
+    Obj
+      [
+        ("name", Str "quo\"te\n");
+        ("rate", Num 0.2);
+        ("count", Num 3.0);
+        ("small", Num 1e-7);
+        ("flags", Arr [ Bool true; Null ]);
+        ("rows", Arr [ Obj [ ("q", Num 1.0); ("tags", Arr [ Str "a" ]) ]; Obj [] ]);
+        ("nested", Obj [ ("ok", Num 7.0) ]);
+        ("empty", Arr []);
+      ]
+  in
+  let text = to_string doc in
+  Alcotest.(check string) "layout"
+    "{\n\
+    \  \"name\": \"quo\\\"te\\n\",\n\
+    \  \"rate\": 0.2,\n\
+    \  \"count\": 3,\n\
+    \  \"small\": 1e-07,\n\
+    \  \"flags\": [true, null],\n\
+    \  \"rows\": [\n\
+    \    {\"q\": 1, \"tags\": [\"a\"]},\n\
+    \    {}\n\
+    \  ],\n\
+    \  \"nested\": {\n\
+    \    \"ok\": 7\n\
+    \  },\n\
+    \  \"empty\": []\n\
+     }\n"
+    text;
+  Alcotest.(check bool) "parses back to the same value" true
+    (parse text = Ok doc);
+  Alcotest.(check bool) "an irrational number round-trips" true
+    (parse (to_string (Num (Float.pi /. 3.0))) = Ok (Num (Float.pi /. 3.0)))
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -453,4 +492,5 @@ let suite =
       test_hostile_names_metrics_json;
     Alcotest.test_case "hostile names: jsonl sink" `Quick
       test_hostile_names_jsonl;
+    Alcotest.test_case "json to_string" `Quick test_json_to_string;
   ]
