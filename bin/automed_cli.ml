@@ -658,13 +658,13 @@ let analyze_cmd =
                 p.Transform.to_schema
             in
             let steps = List.length p.Transform.steps in
-            match Repository.schema repo p.Transform.from_schema with
+            match Analysis.simplify_stored repo p with
             | None ->
                 Printf.printf
                   "pathway %s (%d steps): source schema not registered\n"
                   label steps
-            | Some src -> (
-                match Analysis.simplify_certified src p with
+            | Some s -> (
+                match s with
                 | `Unchanged ->
                     Printf.printf "pathway %s (%d steps): no rewrite applies\n"
                       label steps

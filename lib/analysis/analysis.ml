@@ -53,6 +53,24 @@ let simplify_certified ?seed ?trials src p : simplification =
         Telemetry.count "analysis.rewrites_refused";
         `Refused (o, reason)
 
+(* A stored pathway is simplified over the source it reads; a
+   contribution must also go on naming the same source objects, or
+   storing the rewrite would change what it reads (an [id o o] step, say,
+   is all that keeps [o]). *)
+let simplify_stored ?seed ?trials repo p =
+  Option.map
+    (fun src ->
+      match simplify_certified ?seed ?trials src p with
+      | `Simplified (o, _)
+        when not
+               (Option.fold ~none:false ~some:(Schema.same_objects src)
+                  (Repository.source_of
+                     ~contribution:(Repository.is_contribution repo p)
+                     repo o.Rewrite.pathway)) ->
+          `Refused (o, "the rewrite changes the source objects it names")
+      | s -> s)
+    (Repository.source_of repo p)
+
 type fix = {
   pathway : string;
   steps_before : int;
@@ -99,34 +117,25 @@ let fix_repository ?seed ?trials repo =
   quarantine_fixes
   @ List.filter_map
     (fun (p : Transform.pathway) ->
-      let label = Printf.sprintf "%s -> %s" p.from_schema p.to_schema in
-      match Repository.schema repo p.from_schema with
-      | None -> None
-      | Some src -> (
-          match simplify_certified ?seed ?trials src p with
-          | `Unchanged -> None
-          | `Simplified (o, _cert) ->
-              let applied =
-                Repository.replace_pathway repo ~old:p o.Rewrite.pathway
-              in
-              if applied = Ok () then Telemetry.count "analysis.fixes_applied";
-              Some
-                {
-                  pathway = label;
-                  steps_before = List.length p.steps;
-                  steps_after = List.length o.Rewrite.pathway.Transform.steps;
-                  applications = o.Rewrite.applications;
-                  quarantined = false;
-                  applied;
-                }
-          | `Refused (o, reason) ->
-              Some
-                {
-                  pathway = label;
-                  steps_before = List.length p.steps;
-                  steps_after = List.length o.Rewrite.pathway.Transform.steps;
-                  applications = o.Rewrite.applications;
-                  quarantined = false;
-                  applied = Error ("rewrite not certified: " ^ reason);
-                }))
+      let fix (o : Rewrite.outcome) applied =
+        Some
+          {
+            pathway = Printf.sprintf "%s -> %s" p.from_schema p.to_schema;
+            steps_before = List.length p.steps;
+            steps_after = List.length o.Rewrite.pathway.Transform.steps;
+            applications = o.Rewrite.applications;
+            quarantined = false;
+            applied;
+          }
+      in
+      match simplify_stored ?seed ?trials repo p with
+      | None | Some `Unchanged -> None
+      | Some (`Simplified (o, _cert)) ->
+          let applied =
+            Repository.replace_pathway repo ~old:p o.Rewrite.pathway
+          in
+          if applied = Ok () then Telemetry.count "analysis.fixes_applied";
+          fix o applied
+      | Some (`Refused (o, reason)) ->
+          fix o (Error ("rewrite not certified: " ^ reason)))
     (Repository.pathways repo)

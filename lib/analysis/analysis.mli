@@ -57,6 +57,18 @@ val simplify_certified :
     autofixer.  A refusal is counted on the [analysis.rewrites_refused]
     telemetry counter (certifications on [analysis.rewrites_certified]). *)
 
+val simplify_stored :
+  ?seed:int64 ->
+  ?trials:int ->
+  Repository.t ->
+  Transform.pathway ->
+  simplification option
+(** {!simplify_certified} of a stored pathway over the source it reads
+    ([Repository.source_of]); [None] when that source is not
+    registered.  A rewrite of a contribution that changes which source
+    objects it names is refused: storing it would change what the
+    contribution reads. *)
+
 type fix = {
   pathway : string;  (** ["from -> to"] label *)
   steps_before : int;

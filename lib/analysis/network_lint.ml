@@ -24,7 +24,7 @@ let endpoint_diags repo (p : Transform.pathway) =
   missing "source" p.Transform.from_schema @ missing "target" p.Transform.to_schema
 
 let pathway_diags repo (p : Transform.pathway) =
-  match Repository.schema repo p.Transform.from_schema with
+  match Repository.source_of repo p with
   | None -> []
   | Some src ->
       let name = label p in

@@ -18,7 +18,7 @@ module Telemetry = Automed_telemetry.Telemetry
 
 let check repo (p : Transform.pathway) =
   match
-    (Repository.schema repo p.from_schema, Repository.schema repo p.to_schema)
+    (Repository.source_of repo p, Repository.schema repo p.to_schema)
   with
   | None, _ -> Some ("source schema " ^ p.from_schema ^ " is not registered")
   | _, None -> Some ("target schema " ^ p.to_schema ^ " is not registered")
@@ -65,7 +65,7 @@ let is_quarantined (p : Transform.pathway) =
 let is_inert repo (p : Transform.pathway) =
   is_quarantined p
   &&
-  match Repository.schema repo p.from_schema with
+  match Repository.source_of repo p with
   | None -> false
   | Some src ->
       let contracted =

@@ -86,7 +86,7 @@ let pathway_defs ctx (p : Transform.pathway) =
   | Some d -> d
   | None ->
       let d =
-        match Repository.schema ctx.repo p.from_schema with
+        match Repository.source_of ctx.repo p with
         | None -> None
         | Some src -> Result.to_option (Equiv.defs src p)
       in

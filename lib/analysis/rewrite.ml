@@ -40,15 +40,6 @@ let queries_of = function
   | Transform.Extend (_, ql, qu) | Transform.Contract (_, ql, qu) -> [ ql; qu ]
   | Transform.Rename _ | Transform.Id _ -> []
 
-let written = function
-  | Transform.Add (s, _)
-  | Transform.Delete (s, _)
-  | Transform.Extend (s, _, _)
-  | Transform.Contract (s, _, _) ->
-      Scheme.Set.singleton s
-  | Transform.Rename (a, b) | Transform.Id (a, b) ->
-      Scheme.Set.add a (Scheme.Set.singleton b)
-
 (* The rules repeatedly ask "does this step mention scheme s?" while
    scanning; recomputing [Ast.schemes] over large embedded queries on
    every probe dominated the engine's cost on real pathways, so each
@@ -79,7 +70,7 @@ let annotate prim =
   in
   {
     p = prim;
-    fp = Scheme.Set.union (written prim) reads;
+    fp = Transform.footprint prim;
     reads;
     key = (kind_rank prim, Scheme.to_string (Transform.prim_scheme prim));
   }

@@ -132,7 +132,7 @@ let member_report repo ~federation q =
       List.map
         (fun (p : Transform.pathway) ->
           let live =
-            match Repository.schema repo p.from_schema with
+            match Repository.source_of repo p with
             | None -> None
             | Some src ->
                 Automed_analysis.Reachability.live_objects ~source:src p
@@ -171,7 +171,7 @@ let relevant_members repo ~federation q =
       List.filter_map
         (fun (p : Transform.pathway) ->
           let live =
-            match Repository.schema repo p.from_schema with
+            match Repository.source_of repo p with
             | None -> None
             | Some src ->
                 Automed_analysis.Reachability.live_objects ~source:src p

@@ -164,7 +164,7 @@ let patch_steps src steps =
    derived objects the target does not know (e.g. an object the
    evolution just added, which only the {e next} version exposes) and —
    for exact pathways — re-extend target objects the patch lost. *)
-let reconcile repo (p : Transform.pathway) kept final =
+let reconcile repo ~contribution (p : Transform.pathway) kept final =
   let target = Repository.schema_exn repo p.to_schema in
   let extra =
     List.filter (fun o -> not (Schema.mem o target)) (Schema.objects final)
@@ -173,7 +173,7 @@ let reconcile repo (p : Transform.pathway) kept final =
     kept
     @ List.map (fun o -> Transform.Contract (o, Ast.Void, Ast.Any)) extra
   in
-  if Repository.is_contribution repo p then steps
+  if contribution then steps
   else
     let derived =
       List.filter (fun o -> not (List.mem o extra)) (Schema.objects final)
@@ -186,15 +186,21 @@ let reconcile repo (p : Transform.pathway) kept final =
     steps
     @ List.map (fun o -> Transform.Extend (o, Ast.Void, Ast.Any)) missing
 
+(* A contribution is patched over the part of the evolved source its
+   (renamed) steps name, so an object added to the source leaves it
+   untouched. *)
 let patched_pathway repo ~renames (p : Transform.pathway) =
-  let src = Repository.schema_exn repo p.from_schema in
+  let contribution = Repository.is_contribution repo p in
   let steps =
     List.fold_left
       (fun steps (a, b) -> subst_inputs ~from_:a ~to_:b steps)
       p.steps renames
   in
+  let src =
+    Option.get (Repository.source_of ~contribution repo { p with steps })
+  in
   let kept, final = patch_steps src steps in
-  let steps = reconcile repo p kept final in
+  let steps = reconcile repo ~contribution p kept final in
   if steps = p.steps then None else Some { p with Transform.steps }
 
 (* Repairs every pathway flowing out of the altered source, replacing
@@ -229,14 +235,10 @@ let prefixed_of source g =
       | None -> false)
     (Schema.objects g)
 
-let contribution_steps src ~exported =
-  let others =
-    List.filter (fun o -> not (List.mem o exported)) (Schema.objects src)
-  in
-  List.map (fun o -> Transform.Contract (o, Ast.Void, Ast.Any)) others
-  @ List.map
-      (fun o -> Transform.Rename (o, Scheme.prefix (Schema.name src) o))
-      exported
+(* A contribution names only what it exports: every other source
+   object is implicitly contracted ([Repository.source_of]). *)
+let contribution_steps source ~exported =
+  List.map (fun o -> Transform.Rename (o, Scheme.prefix source o)) exported
 
 let register_with_resilience wf name =
   match Processor.resilience (Workflow.processor wf) with
@@ -304,7 +306,7 @@ let evolve_add_source ?description wf (s : Schema.t) ~extents =
           {
             Transform.from_schema = name;
             to_schema = next;
-            steps = contribution_steps s ~exported:(Schema.objects s);
+            steps = contribution_steps name ~exported:(Schema.objects s);
           }
         in
         let* () = Repository.add_contribution repo contrib in
@@ -530,12 +532,11 @@ let evolve_alter ?description wf source alters =
         let* () =
           if added = [] then Ok ()
           else
-            let src = Repository.schema_exn repo source in
             Repository.add_contribution repo
               {
                 Transform.from_schema = source;
                 to_schema = next;
-                steps = contribution_steps src ~exported:added;
+                steps = contribution_steps source ~exported:added;
               }
         in
         Ok ())

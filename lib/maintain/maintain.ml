@@ -117,21 +117,23 @@ let translate suffix o =
 
 (* Push a contribution feeding an interior version forward onto the
    current one: rewrite each target-side name through the suffix of
-   chain links between them, then certify that the rebuilt pathway
-   derives exactly the definitions the chain would have carried
+   chain links between them, leaving out what the suffix drops (a source
+   object the contribution no longer names is implicitly contracted),
+   then certify that the rebuilt pathway, over the part of the source it
+   names, derives exactly the definitions the chain would have carried
    (symbolic comparison via [Equiv.defs]).  [Ok None] means the
    contribution is dead on the current version — everything it feeds is
    [Void] or contracted away downstream — and can simply be left
    behind. *)
 let push_contribution repo ~suffix ~current (c : Transform.pathway) =
-  let* src =
-    match Repository.schema repo c.Transform.from_schema with
-    | Some s -> Ok s
+  let defs_of c =
+    match Repository.source_of ~contribution:true repo c with
+    | Some src -> Equiv.defs src c
     | None ->
         err "contribution source schema %s is not registered"
           c.Transform.from_schema
   in
-  let* defs = Equiv.defs src c in
+  let* defs = defs_of c in
   let expected =
     Scheme.Map.fold
       (fun o e acc ->
@@ -152,7 +154,7 @@ let push_contribution repo ~suffix ~current (c : Transform.pathway) =
           | Transform.Rename (x, o) -> (
               match translate suffix o with
               | Some o' -> [ Transform.Rename (x, o') ]
-              | None -> [ Transform.Contract (x, Ast.Void, Ast.Any) ])
+              | None -> [])
           | Transform.Extend (o, ql, qu) -> (
               match translate suffix o with
               | Some o' -> [ Transform.Extend (o', ql, qu) ]
@@ -171,7 +173,7 @@ let push_contribution repo ~suffix ~current (c : Transform.pathway) =
       { Transform.from_schema = c.Transform.from_schema;
         to_schema = current; steps }
     in
-    let* defs' = Equiv.defs src c' in
+    let* defs' = defs_of c' in
     let got = Scheme.Map.filter (fun _ e -> e <> Ast.Void) defs' in
     if Scheme.Map.equal Ast.equal expected got then Ok (Some c')
     else
@@ -428,7 +430,8 @@ module Scheduler = struct
     policy : policy;
     mutable tick_count : int;
     mutable last_reclaim : int;  (* 0 = never *)
-    mutable compact_armed : bool;
+    mutable compact_disarmed : string list;
+        (* indicators whose last firing has not cleared yet *)
     mutable history : event list;  (* newest first *)
   }
 
@@ -437,7 +440,7 @@ module Scheduler = struct
       policy;
       tick_count = 0;
       last_reclaim = 0;
-      compact_armed = true;
+      compact_disarmed = [];
       history = [];
     }
 
@@ -481,23 +484,27 @@ module Scheduler = struct
       Telemetry.with_span "maintain.assess" @@ fun () ->
       Health.assess ~config:t.policy.health ?resilience ?durable ?metrics wf
     in
-    if (not t.compact_armed) && cleared t report "chain-depth" then
-      t.compact_armed <- true;
+    t.compact_disarmed <-
+      List.filter (fun n -> not (cleared t report n)) t.compact_disarmed;
     let fired = ref [] in
     let note e = fired := e :: !fired in
     (* compaction first: it is the cheap action, it pays both the
        chain-depth debt and the [Void]-step debt the links carry (the
        interior links leave the active surface), and a refusal escalates
-       straight to reclamation below *)
-    let compact_trigger =
-      List.find_opt
-        (fun name -> fires t report name)
-        [ "chain-depth"; "void-degraded-steps" ]
+       straight to reclamation below.  Each indicator has its own arming:
+       a firing disarms the indicators that fired, each re-arms when it
+       clears, so debt compaction cannot pay off does not re-fire it on
+       every tick and does not block the other indicator *)
+    let firing =
+      List.filter (fires t report) [ "chain-depth"; "void-degraded-steps" ]
     in
     let* escalate =
-      match compact_trigger with
-      | Some ind when t.compact_armed -> (
-        t.compact_armed <- false;
+      match
+        List.find_opt (fun n -> not (List.mem n t.compact_disarmed)) firing
+      with
+      | Some ind -> (
+        t.compact_disarmed <-
+          List.sort_uniq compare (firing @ t.compact_disarmed);
         let trig = trigger report ind in
         let* result =
           Telemetry.with_span "maintain.compact" (fun () -> compact wf)
@@ -518,7 +525,7 @@ module Scheduler = struct
         | Nothing_to_do msg ->
             note (record t Compact trig msg);
             Ok false)
-      | _ -> Ok false
+      | None -> Ok false
     in
     let reclaim_trigger =
       if escalate then Some "escalated from refused/ineffective compaction"

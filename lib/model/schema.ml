@@ -65,6 +65,10 @@ let extent_ty scheme s =
 
 let objects s = Scheme.Map.bindings s.objects |> List.map fst
 let object_count s = Scheme.Map.cardinal s.objects
+
+let restrict keep s =
+  { s with
+    objects = Scheme.Map.filter (fun o _ -> Scheme.Set.mem o keep) s.objects }
 let fold f s init = Scheme.Map.fold f s.objects init
 let typing s scheme = extent_ty scheme s
 let hdm s = Model.hdm_of_schemes (objects s)

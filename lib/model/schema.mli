@@ -35,6 +35,10 @@ val objects : t -> Scheme.t list
 (** Sorted. *)
 
 val object_count : t -> int
+
+val restrict : Scheme.Set.t -> t -> t
+(** Keeps only the objects in the set. *)
+
 val fold : (Scheme.t -> info -> 'a -> 'a) -> t -> 'a -> 'a
 
 val typing : t -> Automed_iql.Types.scheme_typing

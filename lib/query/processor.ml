@@ -70,8 +70,10 @@ type t = {
       (* cached bag plus the sources whose data it incorporates *)
   pcache : (Lineage.bag * SS.t) EH.t;
       (* the lineage-annotated twin of [cache], for provenance runs *)
-  pinfo : (Transform.pathway, Scheme.Set.t option) Hashtbl.t;
-      (* reachability live set per stored pathway; None: never prune *)
+  pinfo : (Transform.pathway, Schema.t option * Scheme.Set.t option) Hashtbl.t;
+      (* per stored pathway: its source as it reads it
+         ([Repository.source_of]) and its reachability live set (None:
+         never prune) *)
   mutable visiting : string list; (* schemas on the derivation stack *)
   mutable degraded : bool; (* soften source failures into skips *)
   mutable frames : frame list; (* innermost first *)
@@ -115,8 +117,8 @@ let drop_source cache source =
 
 (* Targeted churn invalidation: exactly the entries tainted by [source]
    are dropped from all three caches — extent bags and provenance twins
-   whose contributing-source sets cite it, and the live sets of
-   pathways that start or end at it (an evolution alters the source's
+   whose contributing-source sets cite it, and the sources and live sets
+   of pathways that start or end at it (an evolution alters the source's
    shape or replaces those pathways, so their live sets are stale).
    Entries of untouched sources survive; the emitted counters let tests
    pin both directions (no stale hits, no over-invalidation). *)
@@ -165,8 +167,9 @@ let note_skip ?(kind = Skip_faulty) t source reason =
     t.run_skipped <- (source, reason, kind) :: t.run_skipped
 
 (* Derive, for each object of [p.to_schema], its defining expression over
-   the objects of [p.from_schema], by symbolically replaying the pathway. *)
-let defs_of_pathway repo (p : Transform.pathway) : Ast.expr Scheme.Map.t =
+   the objects of its source [src], by symbolically replaying the
+   pathway. *)
+let defs_of_pathway src (p : Transform.pathway) : Ast.expr Scheme.Map.t =
   Telemetry.with_span "pathway.apply"
     ~attrs:(fun () ->
       [
@@ -177,11 +180,6 @@ let defs_of_pathway repo (p : Transform.pathway) : Ast.expr Scheme.Map.t =
   Telemetry.count "processor.pathway_applications";
   if Telemetry.active () then
     Telemetry.count ~by:(List.length p.steps) "processor.pathway_steps_replayed";
-  let src =
-    match Repository.schema repo p.from_schema with
-    | Some s -> s
-    | None -> err "pathway source schema %s is not registered" p.from_schema
-  in
   let subst defs q =
     let missing = ref None in
     let q' =
@@ -225,22 +223,25 @@ let defs_of_pathway repo (p : Transform.pathway) : Ast.expr Scheme.Map.t =
             | None -> err "id of unknown object %s" (Scheme.to_string a)))
     init p.steps
 
-(* The set of target objects of [p] with a provably non-empty
-   derivation, computed once per stored pathway and reused for every
-   replay: a replay is skipped entirely for an object outside it, which
-   is sound because the empty bag is the identity of the bag union that
-   combines contributions. *)
-let live_set t (p : Transform.pathway) =
+let registered (p : Transform.pathway) = function
+  | Some src -> src
+  | None -> err "pathway source schema %s is not registered" p.from_schema
+
+(* The source a stored pathway reads and the set of its target objects
+   with a provably non-empty derivation, computed once per pathway and
+   reused for every replay: a replay is skipped entirely for an object
+   outside the live set, which is sound because the empty bag is the
+   identity of the bag union that combines contributions. *)
+let pathway_info t (p : Transform.pathway) =
   match Hashtbl.find_opt t.pinfo p with
-  | Some live -> live
+  | Some info -> info
   | None ->
+      let src = Repository.source_of t.repo p in
       let live =
-        match Repository.schema t.repo p.from_schema with
-        | None -> None
-        | Some src -> Reachability.live_objects ~source:src p
+        Option.bind src (fun source -> Reachability.live_objects ~source p)
       in
-      Hashtbl.replace t.pinfo p live;
-      live
+      Hashtbl.replace t.pinfo p (src, live);
+      (src, live)
 
 (* The raw source fetch, routed through the resilience kernel when the
    schema is a registered source.  In degraded mode an exhausted fetch
@@ -330,10 +331,10 @@ let guard t ~schema f =
    nothing because no view definition reaches [o], or the definition [e]
    over the objects of [p.from_schema]. *)
 let decide t (p : Transform.pathway) o =
-  match live_set t p with
-  | Some live when not (Scheme.Set.mem o live) -> `Pruned
-  | _ -> (
-      match Scheme.Map.find_opt o (defs_of_pathway t.repo p) with
+  match pathway_info t p with
+  | _, Some live when not (Scheme.Set.mem o live) -> `Pruned
+  | src, _ -> (
+      match Scheme.Map.find_opt o (defs_of_pathway (registered p src) p) with
       | None -> `Undefined
       | Some e -> `Defined e)
 
@@ -870,7 +871,12 @@ let translate t ~from_schema ~to_schema q =
     match Repository.find_path t.repo ~src:to_schema ~dst:from_schema with
     | Error e -> err "%s" e
     | Ok pathway ->
-        let defs = defs_of_pathway t.repo pathway in
+        let defs =
+          defs_of_pathway
+            (registered pathway
+               (Repository.schema t.repo pathway.Transform.from_schema))
+            pathway
+        in
         Ast.subst_schemes
           (fun o ->
             match Scheme.Map.find_opt o defs with

@@ -130,74 +130,94 @@ let rename_schema t name new_name =
         Ok ()
       end
 
-let add_pathway t (p : Transform.pathway) =
-  match schema t p.from_schema with
-  | None -> err "pathway source schema %s is not registered" p.from_schema
-  | Some src ->
-      let* () = Transform.well_formed src p in
-      let* () =
-        match t.validator with None -> Ok () | Some f -> f src p
-      in
-      let* derived = Transform.apply src p in
-      let* () =
-        match schema t p.to_schema with
-        | None ->
-            t.schemas <- SM.add p.to_schema derived t.schemas;
-            Ok ()
-        | Some existing ->
-            if Schema.same_objects existing derived then Ok ()
-            else
-              err
-                "pathway into %s produces a schema that disagrees with the \
-                 registered one"
-                p.to_schema
-      in
-      t.pathways <- p :: t.pathways;
-      Telemetry.count "repository.pathways_registered";
-      notify t (Op_add_pathway p);
-      Ok ()
+let is_contribution t p =
+  List.exists (fun q -> q == p) t.contribs
+  || List.exists (fun q -> q = p) t.contribs
 
-let is_contribution t p = List.exists (fun q -> q = p) t.contribs
 let contributions t = List.rev t.contribs
 
-(* A contribution feeds a subset of an existing schema's objects: the
-   derived object set must be contained in the registered target rather
-   than equal to it.  This is the delta-sized way to wire an evolved-in
-   source into an already-built global schema — the alternative, a full
-   pathway, must enumerate a trivial extend for every other object of
-   the target, which is proportional to repository size. *)
-let add_contribution t (p : Transform.pathway) =
+(* A contribution reads only the part of its source that its steps
+   name: every other source object is implicitly contracted with
+   [(Void, Any)].  This is the source-side twin of the subset rule on
+   the target, and it keeps an evolution's contribution delta-sized
+   when the source later grows. *)
+let source_of ?contribution t (p : Transform.pathway) =
+  let contribution =
+    match contribution with Some c -> c | None -> is_contribution t p
+  in
   match schema t p.from_schema with
-  | None -> err "contribution source schema %s is not registered" p.from_schema
+  | Some src when contribution ->
+      let named =
+        List.fold_left
+          (fun acc st -> Scheme.Set.union acc (Transform.footprint st))
+          Scheme.Set.empty p.steps
+      in
+      Some (Schema.restrict named src)
+  | src -> src
+
+(* The admission checks of every checked registration, over the source
+   as [source_of] reads it: well-formedness, the validation gate, and
+   agreement with the registered target if there is one — exact for a
+   full pathway, a subset for a contribution.  Returns the derived
+   schema. *)
+let admit ~contribution t (p : Transform.pathway) =
+  match source_of ~contribution t p with
+  | None -> err "pathway source schema %s is not registered" p.from_schema
   | Some src -> (
+      let* () = Transform.well_formed src p in
+      let* () = match t.validator with None -> Ok () | Some f -> f src p in
+      let* derived = Transform.apply src p in
       match schema t p.to_schema with
-      | None ->
-          err "contribution target schema %s is not registered" p.to_schema
-      | Some target ->
-          let* () = Transform.well_formed src p in
-          let* () =
-            match t.validator with None -> Ok () | Some f -> f src p
-          in
-          let* derived = Transform.apply src p in
-          let stray =
-            List.filter
+      | None -> Ok derived
+      | Some target when Schema.same_objects target derived -> Ok derived
+      | Some target -> (
+          match
+            List.find_opt
               (fun o -> not (Schema.mem o target))
               (Schema.objects derived)
-          in
-          let* () =
-            match stray with
-            | [] -> Ok ()
-            | o :: _ ->
-                err
-                  "contribution into %s derives %s, which the registered \
-                   schema does not contain"
-                  p.to_schema (Scheme.to_string o)
-          in
-          t.pathways <- p :: t.pathways;
-          t.contribs <- p :: t.contribs;
-          Telemetry.count "repository.contributions_registered";
-          notify t (Op_add_contribution p);
-          Ok ())
+          with
+          | Some o ->
+              err "pathway %s -> %s derives %s, which the registered %s \
+                   does not contain"
+                p.from_schema p.to_schema (Scheme.to_string o) p.to_schema
+          | None when contribution -> Ok derived
+          | None ->
+              err "pathway %s -> %s does not derive every object of the \
+                   registered %s"
+                p.from_schema p.to_schema p.to_schema))
+
+(* [l] with its first structural match of [old] replaced by [by], or
+   dropped when [by] is [None]: the network-search order is kept *)
+let rec swap_first old by = function
+  | [] -> []
+  | q :: rest when q = old -> Option.to_list by @ rest
+  | q :: rest -> q :: swap_first old by rest
+
+let add_pathway t (p : Transform.pathway) =
+  let* derived = admit ~contribution:false t p in
+  if not (mem_schema t p.to_schema) then
+    t.schemas <- SM.add p.to_schema derived t.schemas;
+  t.pathways <- p :: t.pathways;
+  Telemetry.count "repository.pathways_registered";
+  notify t (Op_add_pathway p);
+  Ok ()
+
+(* A contribution feeds a subset of an existing schema's objects from
+   the subset of its source that it names.  This is the delta-sized way
+   to wire an evolved-in source into an already-built global schema —
+   a full pathway would have to extend every other object of the
+   target and contract every other object of the source, both
+   proportional to repository size. *)
+let add_contribution t (p : Transform.pathway) =
+  if not (mem_schema t p.to_schema) then
+    err "contribution target schema %s is not registered" p.to_schema
+  else
+    let* _ = admit ~contribution:true t p in
+    t.pathways <- p :: t.pathways;
+    t.contribs <- p :: t.contribs;
+    Telemetry.count "repository.contributions_registered";
+    notify t (Op_add_contribution p);
+    Ok ()
 
 let replace_pathway t ~old:(p_old : Transform.pathway) (p_new : Transform.pathway) =
   if
@@ -208,61 +228,17 @@ let replace_pathway t ~old:(p_old : Transform.pathway) (p_new : Transform.pathwa
   else if not (List.exists (fun q -> q = p_old) t.pathways) then
     err "no pathway %s -> %s with these steps is registered" p_old.from_schema
       p_old.to_schema
+  else if not (mem_schema t p_new.to_schema) then
+    err "pathway target schema %s vanished" p_new.to_schema
   else
-    match schema t p_new.from_schema with
-    | None -> err "pathway source schema %s is not registered" p_new.from_schema
-    | Some src ->
-        let* () = Transform.well_formed src p_new in
-        let* () =
-          match t.validator with None -> Ok () | Some f -> f src p_new
-        in
-        let* derived = Transform.apply src p_new in
-        let contribution = is_contribution t p_old in
-        let* () =
-          match schema t p_new.to_schema with
-          | None -> err "pathway target schema %s vanished" p_new.to_schema
-          | Some existing ->
-              let agrees =
-                if contribution then
-                  (* contributions keep the weaker subset agreement *)
-                  List.for_all
-                    (fun o -> Schema.mem o existing)
-                    (Schema.objects derived)
-                else Schema.same_objects existing derived
-              in
-              if agrees then Ok ()
-              else
-                err
-                  "replacement pathway into %s produces a schema that \
-                   disagrees with the registered one"
-                  p_new.to_schema
-        in
-        (* swap in place so network-search order is unchanged *)
-        let replaced = ref false in
-        t.pathways <-
-          List.map
-            (fun q ->
-              if (not !replaced) && q = p_old then begin
-                replaced := true;
-                p_new
-              end
-              else q)
-            t.pathways;
-        if contribution then begin
-          let swapped = ref false in
-          t.contribs <-
-            List.map
-              (fun q ->
-                if (not !swapped) && q = p_old then begin
-                  swapped := true;
-                  p_new
-                end
-                else q)
-              t.contribs
-        end;
-        Telemetry.count "repository.pathways_replaced";
-        notify t (Op_replace_pathway (p_old, p_new));
-        Ok ()
+    (* a replaced contribution stays one, with the weaker agreement *)
+    let contribution = is_contribution t p_old in
+    let* _ = admit ~contribution t p_new in
+    t.pathways <- swap_first p_old (Some p_new) t.pathways;
+    if contribution then t.contribs <- swap_first p_old (Some p_new) t.contribs;
+    Telemetry.count "repository.pathways_replaced";
+    notify t (Op_replace_pathway (p_old, p_new));
+    Ok ()
 
 (* Certified removal: the repository only checks registration — the
    caller (maintenance reclamation) holds the semantic certificate that
@@ -274,26 +250,8 @@ let remove_pathway t (p : Transform.pathway) =
     err "no pathway %s -> %s with these steps is registered" p.from_schema
       p.to_schema
   else begin
-    let removed = ref false in
-    t.pathways <-
-      List.filter
-        (fun q ->
-          if (not !removed) && q = p then begin
-            removed := true;
-            false
-          end
-          else true)
-        t.pathways;
-    (let dropped = ref false in
-     t.contribs <-
-       List.filter
-         (fun q ->
-           if (not !dropped) && q = p then begin
-             dropped := true;
-             false
-           end
-           else true)
-         t.contribs);
+    t.pathways <- swap_first p None t.pathways;
+    t.contribs <- swap_first p None t.contribs;
     Telemetry.count "repository.pathways_removed";
     notify t (Op_remove_pathway p);
     Ok ()
@@ -316,76 +274,22 @@ let compact_chain t ~retired:(p_ret : Transform.pathway)
   else if is_contribution t p_ret then
     err "pathway %s -> %s is a contribution, not a chain link"
       p_ret.from_schema p_ret.to_schema
+  else if not (mem_schema t p_new.to_schema) then
+    err "compaction target schema %s vanished" p_new.to_schema
   else
-    let* target =
-      match schema t p_new.to_schema with
-      | Some s -> Ok s
-      | None -> err "compaction target schema %s vanished" p_new.to_schema
-    in
-    let admit_shortcut () =
-      match schema t p_new.from_schema with
-      | None ->
-          err "shortcut source schema %s is not registered" p_new.from_schema
-      | Some src ->
-          let* () = Transform.well_formed src p_new in
-          let* () =
-            match t.validator with None -> Ok () | Some f -> f src p_new
-          in
-          let* derived = Transform.apply src p_new in
-          if Schema.same_objects target derived then Ok ()
-          else
-            err
-              "compaction shortcut into %s produces a schema that disagrees \
-               with the registered one"
-              p_new.to_schema
-    in
-    let admit_reroute (r : Transform.pathway) =
-      if r.to_schema <> p_new.to_schema then
-        err "rerouted contribution %s -> %s does not feed the compacted \
-             version %s"
-          r.from_schema r.to_schema p_new.to_schema
-      else
-        match schema t r.from_schema with
-        | None ->
-            err "rerouted contribution source schema %s is not registered"
-              r.from_schema
-        | Some src ->
-            let* () = Transform.well_formed src r in
-            let* () =
-              match t.validator with None -> Ok () | Some f -> f src r
-            in
-            let* derived = Transform.apply src r in
-            let stray =
-              List.filter
-                (fun o -> not (Schema.mem o target))
-                (Schema.objects derived)
-            in
-            (match stray with
-            | [] -> Ok ()
-            | o :: _ ->
-                err
-                  "rerouted contribution into %s derives %s, which the \
-                   registered schema does not contain"
-                  r.to_schema (Scheme.to_string o))
-    in
-    let* () = admit_shortcut () in
+    let* _ = admit ~contribution:false t p_new in
     let* () =
       List.fold_left
-        (fun acc r ->
+        (fun acc (r : Transform.pathway) ->
           let* () = acc in
-          admit_reroute r)
+          if r.to_schema <> p_new.to_schema then
+            err "rerouted contribution %s -> %s does not feed the compacted \
+                 version %s"
+              r.from_schema r.to_schema p_new.to_schema
+          else Result.map ignore (admit ~contribution:true t r))
         (Ok ()) reroutes
     in
-    let replaced = ref false in
-    t.pathways <-
-      List.map
-        (fun q ->
-          if (not !replaced) && q = p_ret then begin
-            replaced := true;
-            p_new
-          end
-          else q)
-        t.pathways;
+    t.pathways <- swap_first p_ret (Some p_new) t.pathways;
     (* pathways are held newest-first *)
     t.pathways <- List.rev_append reroutes t.pathways;
     t.contribs <- List.rev_append reroutes t.contribs;

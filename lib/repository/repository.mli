@@ -100,17 +100,28 @@ val add_pathway : t -> Transform.pathway -> (unit, string) result
 val add_contribution : t -> Transform.pathway -> (unit, string) result
 (** Registers a pathway that {e feeds} an existing target schema rather
     than defining it: both endpoint schemas must already be registered,
-    and the object set derived by applying the pathway must be a subset
-    of the target's (instead of {!add_pathway}'s exact agreement).  This
-    is the delta-sized building block of schema evolution — wiring a new
-    or grown source into an already-built global schema without
-    enumerating a trivial extend for every other object.  Contributions
-    participate in reformulation and network search exactly like
-    ordinary pathways. *)
+    and the subset rule holds on both sides.  The pathway reads only the
+    source objects its steps name ({!source_of}); every other source
+    object is implicitly contracted with [(Void, Any)].  The object set
+    it derives must be a subset of the target's (instead of
+    {!add_pathway}'s exact agreement).  This is the delta-sized building
+    block of schema evolution — wiring a new or grown source into an
+    already-built global schema without a trivial extend for every other
+    target object or a trivial contract for every other source object.
+    Contributions participate in reformulation and network search
+    exactly like ordinary pathways. *)
 
 val is_contribution : t -> Transform.pathway -> bool
 val contributions : t -> Transform.pathway list
 (** Contributions in insertion order. *)
+
+val source_of :
+  ?contribution:bool -> t -> Transform.pathway -> Schema.t option
+(** The registered source schema as the pathway reads it: for a
+    contribution ([contribution] defaults to {!is_contribution}), only
+    the objects its steps name ({!Transform.footprint}); the whole
+    schema otherwise.  Every place that applies a pathway to its source
+    goes through this. *)
 
 val replace_pathway :
   t -> old:Transform.pathway -> Transform.pathway -> (unit, string) result

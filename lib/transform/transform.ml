@@ -20,6 +20,12 @@ let prim_scheme = function
   | Add (s, _) | Delete (s, _) | Extend (s, _, _) | Contract (s, _, _) -> s
   | Rename (s, _) | Id (s, _) -> s
 
+let footprint = function
+  | Add (s, q) | Delete (s, q) -> Scheme.Set.add s (Ast.schemes q)
+  | Extend (s, ql, qu) | Contract (s, ql, qu) ->
+      Scheme.Set.add s (Scheme.Set.union (Ast.schemes ql) (Ast.schemes qu))
+  | Rename (a, b) | Id (a, b) -> Scheme.Set.of_list [ a; b ]
+
 let prim_kind = function
   | Add _ -> "add"
   | Delete _ -> "delete"

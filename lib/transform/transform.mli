@@ -39,6 +39,10 @@ val prim_scheme : prim -> Scheme.t
 (** The object the step introduces into, or removes from, or (for
     rename/id) maps {e from}, in the direction of travel. *)
 
+val footprint : prim -> Scheme.Set.t
+(** Every object the step names: its subject(s) and the objects its
+    queries reference. *)
+
 val prim_kind : prim -> string
 (** The step's verb: ["add"], ["delete"], ["extend"], ["contract"],
     ["rename"] or ["id"] — used to tag error messages and diagnostics. *)

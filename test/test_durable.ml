@@ -643,7 +643,8 @@ let test_telemetry_counters () =
    adding, renaming and dropping objects, drop source) with a maintenance
    tick after each delta, enough to compact, reclaim and checkpoint.  Each
    write and append is logged as its kind, file name and the MD5 of its
-   data; the digest of that log, and of the final
+   data, in one log for the set-up (wrapping and integration) and one for
+   the churn; the digests of those logs, and of the final
    [Serialize.save ~extents:true], must not move.  A printer change that
    moves one separator in anything this run stores fails here: existing
    stores must keep recovering byte for byte.  test_printers.ml covers
@@ -719,17 +720,22 @@ let pinned_policy =
       };
   }
 
-(* recorded with the Format/Printf printers, before the codec moved onto
-   one Buffer *)
-let pinned_writes_digest = "4f16e49c7712e2e9bb47e4c0d861b249"
-let pinned_state_digest = "7c2cb35b1a105448dd0f71d0b0157f51"
+(* The set-up writes are the bytes the Format/Printf printers wrote
+   before the codec moved onto one Buffer (the single digest pinned then
+   covered them).  The churn and saved-state digests were re-pinned when
+   contributions stopped contracting the source objects they do not
+   export: the deltas journal shorter contributions and patches. *)
+let pinned_setup_digest = "733d99b35c605dd49e4d18606f77646c"
+let pinned_churn_digest = "2d0c85a127c7d4e2b795a06d6fcc9f4c"
+let pinned_state_digest = "9f3b6bad113fbf6dcdfd493ae8db0cbc"
 
 let test_pinned_store_bytes () =
   let inner = Vfs.memory () in
-  let log = Buffer.create 4096 and writes = ref 0 in
+  let setup = Buffer.create 4096 and churn = Buffer.create 4096 in
+  let log = ref setup and writes = ref 0 in
   let record kind name data =
     incr writes;
-    Buffer.add_string log
+    Buffer.add_string !log
       (Printf.sprintf "%s %s %s\n" kind name
          (Digest.to_hex (Digest.string data)))
   in
@@ -750,6 +756,8 @@ let test_pinned_store_bytes () =
   let durable = ok (Durable.attach vfs repo) in
   ok (Sources.wrap_all repo (Sources.generate ~seed:11L ~scale:12 ()));
   let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
+  let setup_writes = !writes in
+  log := churn;
   let scheduler = Maintain.Scheduler.create ~policy:pinned_policy () in
   for i = 0 to pinned_cycles - 1 do
     ignore (ok (Evolution.evolve wf (pinned_delta i)));
@@ -763,11 +771,90 @@ let test_pinned_store_bytes () =
         true
         (List.exists (fun e -> e.Maintain.e_action = action) events))
     [ Maintain.Compact; Maintain.Reclaim; Maintain.Checkpoint ];
-  Alcotest.(check int) "store writes" 389 !writes;
-  Alcotest.(check string) "digest of every store write" pinned_writes_digest
-    (Digest.to_hex (Digest.string (Buffer.contents log)));
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Alcotest.(check int) "set-up store writes" 231 setup_writes;
+  Alcotest.(check int) "churn store writes" 145 (!writes - setup_writes);
+  Alcotest.(check string) "digest of the set-up writes" pinned_setup_digest
+    (digest setup);
+  Alcotest.(check string) "digest of the churn writes" pinned_churn_digest
+    (digest churn);
   Alcotest.(check string) "digest of the saved state" pinned_state_digest
     (Digest.to_hex (Digest.string (save repo)))
+
+(* A store written before contributions named only what they export
+   holds old-style contributions: explicit [(Void, Any)] contracts of
+   every other object of their source.  Such a contribution names its
+   whole source, so it reads what it always read, later alters patch it
+   over the whole source, and the store recovers to the same state and
+   the same seven answers. *)
+let old_style repo (c : Transform.pathway) =
+  let named =
+    List.filter_map
+      (function Transform.Rename (o, _) -> Some o | _ -> None)
+      c.Transform.steps
+  in
+  let others =
+    List.filter
+      (fun o -> not (List.mem o named))
+      (Schema.objects (Repository.schema_exn repo c.Transform.from_schema))
+  in
+  { c with
+    Transform.steps =
+      List.map
+        (fun o ->
+          Transform.Contract (o, Automed_iql.Ast.Void, Automed_iql.Ast.Any))
+        others
+      @ c.Transform.steps }
+
+let test_old_style_contributions_recover () =
+  let vfs = Vfs.memory () in
+  let repo = Repository.create () in
+  let _d = ok (Durable.attach vfs repo) in
+  ok (Sources.wrap_all repo (Sources.generate ~scale:10 ()));
+  let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
+  let alter a =
+    ignore
+      (ok (Evolution.evolve wf (Evolution.Alter (Sources.pedro_name, [ a ]))))
+  in
+  alter (Repository.Alter_add_object (Scheme.table "extra", None));
+  List.iter
+    (fun c -> ok (Repository.replace_pathway repo ~old:c (old_style repo c)))
+    (Repository.contributions repo);
+  alter (Repository.Alter_add_object (Scheme.table "more", None));
+  alter
+    (Repository.Alter_rename_object
+       (Scheme.table "extra", Scheme.table "renamed"));
+  let global = Workflow.global_name wf in
+  let answers repo =
+    let proc = Processor.create repo in
+    List.map
+      (fun (q : Queries.query) ->
+        match
+          Processor.run_string proc ~schema:global q.Queries.global_text
+        with
+        | Ok v -> v
+        | Error e ->
+            Alcotest.failf "query %d: %a" q.Queries.number Processor.pp_error
+              e)
+      Queries.all
+  in
+  let d', _ =
+    recover_journal_bytes (ok (Vfs.(vfs.read) Durable.journal_file))
+  in
+  let repo' = Durable.repository d' in
+  Alcotest.(check bool) "an old-style contribution is stored" true
+    (List.exists
+       (fun (c : Transform.pathway) ->
+         List.exists
+           (function Transform.Contract _ -> true | _ -> false)
+           c.Transform.steps)
+       (Repository.contributions repo'));
+  Alcotest.(check string) "same state digest"
+    (Digest.to_hex (Digest.string (save repo)))
+    (Digest.to_hex (Digest.string (save repo')));
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "same answer" true (Value.equal a b))
+    (answers repo) (answers repo')
 
 let suite =
   [
@@ -807,4 +894,6 @@ let suite =
       test_journal_bytes_after_failed_append;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
     Alcotest.test_case "pinned store bytes" `Quick test_pinned_store_bytes;
+    Alcotest.test_case "old-style contributions recover" `Quick
+      test_old_style_contributions_recover;
   ]

@@ -301,6 +301,86 @@ let test_scheduler_hysteresis () =
     (List.tl compacts);
   Alcotest.(check bool) "depth stayed bounded" true (depth wf <= 4)
 
+(* Each compaction indicator re-arms on its own clearing.  The Void
+   threshold here sits far below the integrated baseline, so that debt
+   fires on every tick and never clears (compaction cannot pay it): it
+   must compact once, not on every tick, and it must not keep chain
+   depth from firing later. *)
+let test_scheduler_rearms_per_indicator () =
+  let durable, resilience, wf = build () in
+  let policy =
+    {
+      Maintain.default_policy with
+      Maintain.health =
+        {
+          Health.default_config with
+          Health.chain_depth = { Health.warn = 4.0; critical = 100.0 };
+          void_degraded = { Health.warn = 1.0; critical = 1e9 };
+        };
+    }
+  in
+  let sched = Maintain.Scheduler.create ~policy () in
+  for i = 0 to 11 do
+    ignore (ok (Evolution.evolve wf (churn_delta i)));
+    ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
+  done;
+  let compacts =
+    List.filter
+      (fun e -> e.Maintain.e_action = Maintain.Compact)
+      (Maintain.Scheduler.events sched)
+  in
+  let fired_by name =
+    List.exists
+      (fun e -> String.starts_with ~prefix:name e.Maintain.e_trigger)
+      compacts
+  in
+  Alcotest.(check bool) "Void debt fired compaction" true
+    (fired_by "void-degraded-steps");
+  Alcotest.(check bool) "chain depth fired it later" true
+    (fired_by "chain-depth");
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "no consecutive-tick compactions" true
+        (b.Maintain.e_tick - a.Maintain.e_tick >= 2))
+    (List.filteri (fun i _ -> i < List.length compacts - 1) compacts)
+    (List.tl compacts)
+
+(* Churn under the default scheduler reaches a steady state: the
+   pathways out of the altered source grow linearly with the run, and
+   every contribution out of it stays delta-sized — one step per object
+   it exports. *)
+let test_churn_steady_state () =
+  let durable, resilience, wf = build () in
+  let repo = Workflow.repository wf in
+  let sched = Maintain.Scheduler.create () in
+  let run ~from ~until =
+    for i = from to until - 1 do
+      ignore (ok (Evolution.evolve wf (churn_delta i)));
+      ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
+    done;
+    List.length (Repository.pathways_from repo Sources.pedro_name)
+  in
+  let n = 100 in
+  let at_n = run ~from:0 ~until:n in
+  let at_2n = run ~from:n ~until:(2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "pathways out of pedro: %d at %d cycles, %d at %d" at_n n
+       at_2n (2 * n))
+    true
+    (float_of_int at_2n <= 2.2 *. float_of_int at_n);
+  let padded =
+    List.filter
+      (fun (c : Transform.pathway) ->
+        c.Transform.from_schema = Sources.pedro_name
+        &&
+        let src = Option.get (Repository.source_of repo c) in
+        Schema.object_count (ok (Transform.apply src c))
+        <> List.length c.Transform.steps)
+      (Repository.contributions repo)
+  in
+  Alcotest.(check int) "contributions with steps beyond their exports" 0
+    (List.length padded)
+
 let test_scheduler_cooldown () =
   let durable, resilience, wf = build () in
   (* the integrated baseline already has quarantine-shaped federation
@@ -501,6 +581,10 @@ let suite =
     Alcotest.test_case "reclamation re-integrates and prunes" `Slow
       test_reclaim;
     Alcotest.test_case "scheduler hysteresis" `Slow test_scheduler_hysteresis;
+    Alcotest.test_case "scheduler re-arms per indicator" `Slow
+      test_scheduler_rearms_per_indicator;
+    Alcotest.test_case "churn reaches a steady state" `Slow
+      test_churn_steady_state;
     Alcotest.test_case "scheduler reclaim cooldown" `Slow
       test_scheduler_cooldown;
     Alcotest.test_case "kill-point matrix over maintenance ops" `Slow
