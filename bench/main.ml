@@ -38,6 +38,7 @@ module Sources = Automed_ispider.Sources
 module Queries = Automed_ispider.Queries
 module Intersection_run = Automed_ispider.Intersection_run
 module Classical_run = Automed_ispider.Classical_run
+module Churn = Automed_ispider.Churn
 module Telemetry = Automed_telemetry.Telemetry
 module Microjson = Automed_telemetry.Microjson
 module Resilience = Automed_resilience.Resilience
@@ -395,7 +396,7 @@ let experiment_figures () =
     (Value.equal v (Value.Int 5));
   Printf.printf
     "\nE-F5 (Figure 5, the GUI tool) is reproduced as a CLI: run\n\
-    \  dune exec bin/intersection_tool.exe -- demo\n"
+    \  dune exec bin/automed_cli.exe -- tool demo\n"
 
 (* -- E-FW1: projected user-effort (the paper's planned evaluation) -------- *)
 
@@ -885,42 +886,6 @@ let evolution_seed = 3L
 let evolution_policy =
   { Resilience.Policy.default with Resilience.Policy.retries = 6 }
 
-(* The deterministic churn script: cycle [i] belongs to block [i/5] and
-   plays one of five phases.  Each block leaves one renamed scratch
-   table behind, so the repository keeps growing while the per-cycle
-   delta stays constant-sized. *)
-let churn_delta i =
-  let k = string_of_int (i / 5) in
-  match i mod 5 with
-  | 0 ->
-      let name = "sat" ^ k in
-      let table = Scheme.table ("s" ^ k) in
-      let schema = ok (Schema.of_objects name [ (table, None) ]) in
-      let rows =
-        Value.Bag.of_list
-          [ Value.Str (name ^ "-r1"); Value.Str (name ^ "-r2") ]
-      in
-      Evolution.Add_source (schema, [ (table, rows) ])
-  | 1 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [ Repository.Alter_add_object (Scheme.table ("tmp" ^ k), None) ] )
-  | 2 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [
-            Repository.Alter_add_object
-              (Scheme.column ("tmp" ^ k) "note", None);
-          ] )
-  | 3 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [
-            Repository.Alter_drop_object (Scheme.column ("tmp" ^ k) "note");
-            Repository.Alter_rename_object
-              (Scheme.table ("tmp" ^ k), Scheme.table ("kept" ^ k));
-          ] )
-  | _ -> Evolution.Drop_source ("sat" ^ k)
 type churn_cycle = {
   ec_cycle : int;
   ec_kind : string;  (** the plan's human description of the delta *)
@@ -955,7 +920,7 @@ let scratch_control experiment i =
   ok (Sources.wrap_all repo dataset);
   let wf = (ok (Intersection_run.execute repo)).Intersection_run.workflow in
   for j = 0 to i do
-    ignore (ok (Evolution.evolve wf (churn_delta j)))
+    ignore (ok (Evolution.evolve wf (Churn.delta j)))
   done;
   run_seven experiment wf
 
@@ -982,7 +947,7 @@ let evolution_outcome () =
         (* incremental repair on the live workflow *)
         let before = Durable.appended durable in
         let (_ev, plan), repair_ms =
-          timed (fun () -> ok (Evolution.evolve wf (churn_delta i)))
+          timed (fun () -> ok (Evolution.evolve wf (Churn.delta i)))
         in
         let journal_ops = Durable.appended durable - before in
         let live, live_query_ms = timed (fun () -> run_seven "E-E1" wf) in
@@ -1185,7 +1150,7 @@ let maintenance_off_arm () =
   Resilience.inject res ~source:Sources.pedro_name
     (Resilience.Fault.rate evolution_fault_rate);
   List.init maintenance_cycles (fun i ->
-      ignore (ok (Evolution.evolve wf (churn_delta i)));
+      ignore (ok (Evolution.evolve wf (Churn.delta i)));
       let report = Health.assess ~resilience:res wf in
       let v name = int_of_float (m_indicator report name).Health.i_value in
       (i, v "chain-depth", v "quarantined-pathways", v "void-degraded-steps"))
@@ -1204,7 +1169,7 @@ let maintenance_on_arm () =
   let scheduler = Maintain.Scheduler.create () in
   let cycles =
     List.init maintenance_cycles (fun i ->
-        ignore (ok (Evolution.evolve wf (churn_delta i)));
+        ignore (ok (Evolution.evolve wf (Churn.delta i)));
         let events =
           match
             Maintain.Scheduler.tick ~durable ~resilience:res scheduler wf

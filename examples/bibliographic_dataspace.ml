@@ -20,15 +20,20 @@ let () =
   let wf = ok (Bibliome.integrate repo) in
   Printf.printf "integrated: %s after %d user-defined transformations\n\n"
     (Workflow.global_name wf) (Workflow.manual_steps wf);
-  List.iter
-    (fun (c : Bibliome.check) ->
-      match Workflow.run_query wf c.Bibliome.query with
-      | Ok v ->
-          Printf.printf "%s\n  %s\n  = %s%s\n\n" c.Bibliome.label
-            c.Bibliome.query (Value.to_string v)
-            (if Value.to_string v = c.Bibliome.expected then ""
-             else Printf.sprintf "   (expected %s!)" c.Bibliome.expected)
-      | Error e ->
-          failwith (Fmt.str "%s: %a" c.Bibliome.label
-                      Automed_query.Processor.pp_error e))
-    Bibliome.checks
+  let wrong =
+    List.filter
+      (fun (c : Bibliome.check) ->
+        match Workflow.run_query wf c.Bibliome.query with
+        | Ok v ->
+            let good = Value.to_string v = c.Bibliome.expected in
+            Printf.printf "%s\n  %s\n  = %s%s\n\n" c.Bibliome.label
+              c.Bibliome.query (Value.to_string v)
+              (if good then ""
+               else Printf.sprintf "   (expected %s!)" c.Bibliome.expected);
+            not good
+        | Error e ->
+            failwith (Fmt.str "%s: %a" c.Bibliome.label
+                        Automed_query.Processor.pp_error e))
+      Bibliome.checks
+  in
+  if wrong <> [] then exit 1

@@ -21,6 +21,16 @@ module Classical_run = Automed_ispider.Classical_run
 
 let ok = function Ok v -> v | Error e -> failwith e
 
+(* every divergence from the paper's figures or the ground truth; the
+   run exits 1 when there is any *)
+let failures = ref 0
+
+let expect what good =
+  if not good then begin
+    incr failures;
+    Printf.printf "  ** %s\n" what
+  end
+
 let () =
   let ds = Sources.generate () in
   let repo = Repository.create () in
@@ -62,6 +72,8 @@ let () =
 
   Printf.printf "\ntotal user-defined transformations: %d (paper: 26)\n"
     run.Intersection_run.total_manual;
+  expect "the paper needs 26 user-defined transformations"
+    (run.Intersection_run.total_manual = 26);
 
   Printf.printf "\nthe seven priority queries over %s:\n" (Workflow.global_name wf);
   List.iter
@@ -72,10 +84,17 @@ let () =
           Printf.printf "  Q%d (%s)\n      %d answers, ground truth %s\n"
             q.Queries.number q.Queries.title (Value.Bag.cardinal b)
             (if Value.Bag.equal b gt then "MATCHES" else "DIFFERS");
-      | Ok v -> Printf.printf "  Q%d: unexpected %s\n" q.Queries.number (Value.to_string v)
+          expect "answer differs from the ground truth" (Value.Bag.equal b gt)
+      | Ok v ->
+          expect
+            (Printf.sprintf "Q%d: unexpected %s" q.Queries.number
+               (Value.to_string v))
+            false
       | Error e ->
-          Printf.printf "  Q%d: error %s\n" q.Queries.number
-            (Fmt.str "%a" Processor.pp_error e))
+          expect
+            (Printf.sprintf "Q%d: error %s" q.Queries.number
+               (Fmt.str "%a" Processor.pp_error e))
+            false)
     Queries.all;
 
   (* the classical baseline, for contrast *)
@@ -87,6 +106,8 @@ let () =
      (gpmDB->GS1 %d, PepSeeker->GS1 %d, PepSeeker->GS2 %d)\n"
     c.Classical_run.total_manual c.Classical_run.gs1_gpm c.Classical_run.gs1_pep
     c.Classical_run.gs2_pep;
+  expect "the paper's classical baseline needs 95 transformations"
+    (c.Classical_run.total_manual = 95);
   Printf.printf "intersection methodology needed %.1f%% of the classical effort.\n"
     (100.0
     *. float_of_int run.Intersection_run.total_manual
@@ -102,5 +123,6 @@ let () =
       Printf.printf "pathway linter (%s): %s\n" label
         (Fmt.str "%a" Automed_analysis.Diagnostic.pp_summary
            (Automed_analysis.Diagnostic.count diags));
-      if Automed_analysis.Diagnostic.has_errors diags then exit 1)
-    [ ("intersection", repo); ("classical", repo2) ]
+      expect "lint errors" (not (Automed_analysis.Diagnostic.has_errors diags)))
+    [ ("intersection", repo); ("classical", repo2) ];
+  if !failures > 0 then exit 1

@@ -128,16 +128,26 @@ let () =
   let _ = ok (Workflow.integrate wf spec) in
   Printf.printf "global schema: %s\n\n" (Workflow.global_name wf);
 
-  let run text =
+  (* every answer is checkable by hand against the three sources above *)
+  let wrong = ref 0 in
+  let run text expected =
     match Workflow.run_query wf text with
-    | Ok v -> Printf.printf "%s\n  = %s\n" text (Value.to_string v)
+    | Ok v ->
+        let v = Value.to_string v in
+        Printf.printf "%s\n  = %s\n" text v;
+        if v <> expected then begin
+          incr wrong;
+          Printf.printf "  ** expected %s\n" expected
+        end
     | Error e -> failwith (Fmt.str "%a" Automed_query.Processor.pp_error e)
   in
-  run "count(<<UPerson,email>>)";
+  (* two mailboxes per source *)
+  run "count(<<UPerson,email>>)" "6";
   (* the same person appearing in two models, joined on the email value *)
   run
     "[{s1, s2, m} | {s1, k1, m} <- <<UPerson,email>>; {s2, k2, m2} <- \
-     <<UPerson,email>>; m = m2; s1 < s2]";
+     <<UPerson,email>>; m = m2; s1 < s2]"
+    "[{'hr','rdf','ada@example.org'}; {'hr','xml','bob@example.org'}]";
 
   (* static analysis: the cross-model pathway network lints clean *)
   let diags = Automed_analysis.Analysis.lint_repository repo in
@@ -147,4 +157,4 @@ let () =
   Printf.printf "\npathway linter: %s\n"
     (Fmt.str "%a" Automed_analysis.Diagnostic.pp_summary
        (Automed_analysis.Diagnostic.count diags));
-  if Automed_analysis.Diagnostic.has_errors diags then exit 1
+  if !wrong > 0 || Automed_analysis.Diagnostic.has_errors diags then exit 1

@@ -1,4 +1,5 @@
 module SS = Set.Make (String)
+module Telemetry = Automed_telemetry.Telemetry
 
 (* free variables of an expression under an outer binding set *)
 let free_vars e = SS.of_list (Ast.vars e)
@@ -19,6 +20,7 @@ let rec optimize (e : Ast.expr) : Ast.expr =
   | Range (l, u) -> Range (optimize l, optimize u)
 
 and optimize_comprehension head quals =
+  Telemetry.count "iql.optimize.comprehensions";
   let head = optimize head in
   (* split into generators (with their binding sets and source
      dependencies) and filters (with their variable needs), keeping the

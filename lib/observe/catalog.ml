@@ -54,6 +54,8 @@ let all =
     h "iql.eval.bag_size" "rows"
       "cardinality of each materialised bag during IQL evaluation";
     c "iql.eval.nodes" "nodes" "IQL AST nodes evaluated";
+    c "iql.optimize.comprehensions" "comprehensions"
+      "comprehensions whose qualifiers the optimiser rescheduled";
     c "lint.diagnostics.error" "diagnostics" "lint diagnostics at error level";
     c "lint.diagnostics.info" "diagnostics" "lint diagnostics at info level";
     c "lint.diagnostics.warning" "diagnostics"
@@ -174,22 +176,17 @@ let to_text () =
   Buffer.contents b
 
 let to_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"metrics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":%s,\"kind\":%s,\"unit\":%s,\"description\":%s,\"dynamic\":%b}"
-           (Microjson.escape d.name)
-           (Microjson.escape (kind_label d.kind))
-           (Microjson.escape d.unit_)
-           (Microjson.escape d.description)
-           d.dynamic))
-    all;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let entry d =
+    Microjson.Obj
+      [
+        ("name", Str d.name);
+        ("kind", Str (kind_label d.kind));
+        ("unit", Str d.unit_);
+        ("description", Str d.description);
+        ("dynamic", Bool d.dynamic);
+      ]
+  in
+  Microjson.Obj [ ("metrics", Arr (List.map entry all)) ]
 
 (* -- source scanning ------------------------------------------------------ *)
 

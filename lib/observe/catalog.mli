@@ -34,7 +34,7 @@ val kind_label : kind -> string
 val to_text : unit -> string
 (** Human-readable table of {!all}. *)
 
-val to_json : unit -> string
+val to_json : unit -> Automed_telemetry.Microjson.t
 (** [{"metrics":[{"name":..,"kind":..,"unit":..,"description":..},..]}] *)
 
 (** {1 Source scanning} *)

@@ -347,33 +347,23 @@ let to_text r =
   Buffer.contents b
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  add "{\"global\":";
-  add (Microjson.escape r.r_global);
-  add (Printf.sprintf ",\"version\":%d,\"overall\":" r.r_version);
-  add (Microjson.escape (level_label r.r_overall));
-  add
-    (Printf.sprintf ",\"needs_reintegration\":%b,\"indicators\":["
-       r.r_needs_reintegration);
-  List.iteri
-    (fun idx i ->
-      if idx > 0 then add ",";
-      add "{\"name\":";
-      add (Microjson.escape i.i_name);
-      add ",\"value\":";
-      add (Microjson.number i.i_value);
-      add ",\"unit\":";
-      add (Microjson.escape i.i_unit);
-      add ",\"warn\":";
-      add (Microjson.number i.i_thresholds.warn);
-      add ",\"critical\":";
-      add (Microjson.number i.i_thresholds.critical);
-      add ",\"level\":";
-      add (Microjson.escape (level_label i.i_level));
-      add ",\"detail\":";
-      add (Microjson.escape i.i_detail);
-      add "}")
-    r.r_indicators;
-  add "]}";
-  Buffer.contents b
+  let indicator i =
+    Microjson.Obj
+      [
+        ("name", Str i.i_name);
+        ("value", Num i.i_value);
+        ("unit", Str i.i_unit);
+        ("warn", Num i.i_thresholds.warn);
+        ("critical", Num i.i_thresholds.critical);
+        ("level", Str (level_label i.i_level));
+        ("detail", Str i.i_detail);
+      ]
+  in
+  Microjson.Obj
+    [
+      ("global", Str r.r_global);
+      ("version", Num (float_of_int r.r_version));
+      ("overall", Str (level_label r.r_overall));
+      ("needs_reintegration", Bool r.r_needs_reintegration);
+      ("indicators", Arr (List.map indicator r.r_indicators));
+    ]

@@ -134,7 +134,7 @@ val assess :
     name. *)
 
 val to_text : report -> string
-val to_json : report -> string
+val to_json : report -> Automed_telemetry.Microjson.t
 (** [{"global":..,"version":..,"overall":..,"needs_reintegration":..,
     "indicators":[{"name":..,"value":..,"unit":..,"warn":..,
     "critical":..,"level":..,"detail":..},..]}] *)

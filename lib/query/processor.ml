@@ -57,18 +57,35 @@ end
 module EH = Hashtbl.Make (EK)
 
 (* Provenance frames track, for the extent computation in progress, which
-   sources contributed data and whether any source was skipped by the
-   degraded mode (a "tainted" result).  Tainted bags are never cached, so
-   a failed-then-recovered source cannot poison the extent cache with a
-   partial answer. *)
-type frame = { mutable srcs : SS.t; mutable tainted : bool }
+   sources contributed data, which evolved-away sources the derivation
+   crossed, and whether a transient fault made the degraded mode skip a
+   source (a "tainted" result).  Tainted bags are never cached, so a
+   failed-then-recovered source cannot poison the extent cache with a
+   partial answer.  An evolved-away source is permanent, so a bag that
+   crossed one is cached with it. *)
+type frame = {
+  mutable srcs : SS.t;
+  mutable evolved : SS.t;
+  mutable tainted : bool;
+}
+
+(* A cached extent with the sources whose data it incorporates and the
+   evolved-away sources its derivation crossed.  An entry that crossed
+   one serves only runs of the mode that derived it: a degraded run
+   substitutes the empty bag for such a source (and marks it in the
+   lineage) where a plain run fails or stays silent. *)
+type 'b entry = {
+  e_bag : 'b;
+  e_srcs : SS.t;
+  e_evolved : SS.t;
+  e_degraded : bool;
+}
 
 type t = {
   repo : Repository.t;
   resilience : Resilience.t option;
-  cache : (Value.Bag.t * SS.t) EH.t;
-      (* cached bag plus the sources whose data it incorporates *)
-  pcache : (Lineage.bag * SS.t) EH.t;
+  cache : Value.Bag.t entry EH.t;
+  pcache : Lineage.bag entry EH.t;
       (* the lineage-annotated twin of [cache], for provenance runs *)
   pinfo : (Transform.pathway, Schema.t option * Scheme.Set.t option) Hashtbl.t;
       (* per stored pathway: its source as it reads it
@@ -110,8 +127,10 @@ let invalidate t =
 let drop_source cache source =
   let before = EH.length cache in
   EH.filter_map_inplace
-    (fun (schema, _) ((_, srcs) as entry) ->
-      if schema = source || SS.mem source srcs then None else Some entry)
+    (fun (schema, _) e ->
+      if schema = source || SS.mem source e.e_srcs || SS.mem source e.e_evolved
+      then None
+      else Some e)
     cache;
   before - EH.length cache
 
@@ -142,7 +161,7 @@ let invalidate_source t source =
 (* -- provenance frames --------------------------------------------------- *)
 
 let push_frame t =
-  let f = { srcs = SS.empty; tainted = false } in
+  let f = { srcs = SS.empty; evolved = SS.empty; tainted = false } in
   t.frames <- f :: t.frames;
   f
 
@@ -153,6 +172,7 @@ let pop_frame t f =
   match t.frames with
   | parent :: _ ->
       parent.srcs <- SS.union parent.srcs f.srcs;
+      parent.evolved <- SS.union parent.evolved f.evolved;
       if f.tainted then parent.tainted <- true
   | [] -> ()
 
@@ -161,10 +181,22 @@ let note_sources t ss =
   | [] -> ()
   | f :: _ -> f.srcs <- SS.union f.srcs ss
 
-let note_skip ?(kind = Skip_faulty) t source reason =
-  (match t.frames with [] -> () | f :: _ -> f.tainted <- true);
+let record_skip t source reason kind =
   if not (List.exists (fun (s, _, _) -> s = source) t.run_skipped) then
     t.run_skipped <- (source, reason, kind) :: t.run_skipped
+
+(* a source skipped for a transient fault *)
+let note_skip t source reason =
+  (match t.frames with [] -> () | f :: _ -> f.tainted <- true);
+  record_skip t source reason Skip_faulty
+
+(* a derivation crossed [source], which evolved away; a degraded run
+   reports it *)
+let note_evolved t source =
+  (match t.frames with
+  | [] -> ()
+  | f :: _ -> f.evolved <- SS.add source f.evolved);
+  if t.degraded then record_skip t source "source evolved away" Skip_evolved
 
 (* Derive, for each object of [p.to_schema], its defining expression over
    the objects of its source [src], by symbolically replaying the
@@ -258,13 +290,12 @@ let fetch_stored t ~schema o :
   in
   if Repository.retired t.repo schema then
     (* evolved away: permanent, so no retries and no breaker involvement *)
-    let reason = "source evolved away" in
     if t.degraded then begin
       Telemetry.count "source.skipped";
       Telemetry.count "source.skipped_evolved";
       if Telemetry.active () then Telemetry.annotate "evolved" schema;
-      note_skip ~kind:Skip_evolved t schema reason;
-      `Skipped (reason, Skip_evolved)
+      note_evolved t schema;
+      `Skipped ("source evolved away", Skip_evolved)
     end
     else
       err "source %s evolved away (retired by schema evolution)" schema
@@ -350,8 +381,8 @@ let evolved_away t (p : Transform.pathway) =
 let contributions t ~schema o f =
   List.filter_map
     (fun (p : Transform.pathway) ->
-      if evolved_away t p then
-        note_skip ~kind:Skip_evolved t p.from_schema "source evolved away";
+      if Repository.retired t.repo p.from_schema then
+        note_evolved t p.from_schema;
       let d = decide t p o in
       if d = `Pruned then Telemetry.count "processor.pathways_pruned";
       f p d)
@@ -359,16 +390,18 @@ let contributions t ~schema o f =
 
 (* The cached extent of [o] in [schema], computing it on a miss on the
    derivation stack under a fresh provenance frame.  A result computed
-   while a source was skipped is partial: serving it from the cache
-   after the source recovers would be a staleness bug, so only
-   untainted results are stored. *)
+   while a source was skipped for a fault is partial: serving it from
+   the cache after the source recovers would be a staleness bug, so only
+   untainted results are stored.  A hit re-notes the evolved-away
+   sources the entry crossed, so the run reports them as a miss would. *)
 let memo t cache ~schema o compute =
   match EH.find_opt cache (schema, o) with
-  | Some (r, srcs) ->
+  | Some e when SS.is_empty e.e_evolved || e.e_degraded = t.degraded ->
       Telemetry.count "processor.extent.cache_hits";
-      note_sources t srcs;
-      r
-  | None ->
+      note_sources t e.e_srcs;
+      SS.iter (note_evolved t) e.e_evolved;
+      e.e_bag
+  | _ ->
       Telemetry.count "processor.extent.cache_misses";
       check_refs t ~schema (Scheme.Set.singleton o);
       guard t ~schema @@ fun () ->
@@ -380,7 +413,10 @@ let memo t cache ~schema o compute =
             [ ("schema", schema); ("object", Scheme.to_string o) ])
           compute
       in
-      if not frame.tainted then EH.replace cache (schema, o) (r, frame.srcs);
+      if not frame.tainted then
+        EH.replace cache (schema, o)
+          { e_bag = r; e_srcs = frame.srcs; e_evolved = frame.evolved;
+            e_degraded = t.degraded };
       r
 
 let non_collection ~schema e v =
@@ -392,7 +428,7 @@ let non_collection ~schema e v =
    stored extent (with the span id of the fetch that read it), every
    skipped or evolved-away source and every pathway hop. *)
 type ('a, 'b) annotator = {
-  table : t -> ('b * SS.t) EH.t;
+  table : t -> 'b entry EH.t;
   atom : string -> Scheme.t -> 'a;
   skip : string -> skip_kind -> 'a;
   hop : Transform.pathway -> 'a;

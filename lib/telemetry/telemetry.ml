@@ -414,31 +414,25 @@ module Metrics = struct
     Buffer.contents b
 
   let to_json t =
-    let b = Buffer.create 256 in
-    Buffer.add_string b (Printf.sprintf "{\"spans\":%d,\"counters\":{" t.spans);
-    List.iteri
-      (fun i (n, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "%s:%d" (Microjson.escape n) v))
-      t.counters;
-    Buffer.add_string b "},\"histograms\":{";
-    List.iteri
-      (fun i (name, (h : Memory.histo)) ->
-        if i > 0 then Buffer.add_char b ',';
-        let qs =
-          match quantiles_of t name with
-          | None -> ""
-          | Some q ->
-              Printf.sprintf ",\"p50\":%s,\"p95\":%s,\"p99\":%s"
-                (Microjson.number q.Memory.q50)
-                (Microjson.number q.Memory.q95)
-                (Microjson.number q.Memory.q99)
-        in
-        Buffer.add_string b
-          (Printf.sprintf "%s:{\"n\":%d,\"sum\":%s,\"min\":%s,\"max\":%s%s}"
-             (Microjson.escape name) h.n (Microjson.number h.sum)
-             (Microjson.number h.min) (Microjson.number h.max) qs))
-      t.histograms;
-    Buffer.add_string b "}}";
-    Buffer.contents b
+    let num f = Microjson.Num f and int n = Microjson.Num (float_of_int n) in
+    let histo (name, (h : Memory.histo)) =
+      let qs =
+        match quantiles_of t name with
+        | None -> []
+        | Some q ->
+            [ ("p50", num q.Memory.q50); ("p95", num q.Memory.q95);
+              ("p99", num q.Memory.q99) ]
+      in
+      ( name,
+        Microjson.Obj
+          ([ ("n", int h.n); ("sum", num h.sum); ("min", num h.min);
+             ("max", num h.max) ]
+          @ qs) )
+    in
+    Microjson.Obj
+      [
+        ("spans", int t.spans);
+        ("counters", Obj (List.map (fun (n, v) -> (n, int v)) t.counters));
+        ("histograms", Obj (List.map histo t.histograms));
+      ]
 end

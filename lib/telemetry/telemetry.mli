@@ -184,7 +184,7 @@ module Metrics : sig
   (** One metric per line: [kind<TAB>name<TAB>fields...]; histogram
       lines end with the p50/p95/p99 fields. *)
 
-  val to_json : t -> string
+  val to_json : t -> Microjson.t
   (** A single JSON object:
       [{"spans":n,"counters":{..},"histograms":{name:{"n":..,"sum":..,"min":..,"max":..,"p50":..,"p95":..,"p99":..}}}]. *)
 end

@@ -290,6 +290,56 @@ let test_drop_source_degraded_accounting () =
   in
   Alcotest.(check bool) "report row marked evolved" true evolved_row
 
+(* An evolved-away source is permanent, so a degraded extent that crosses
+   it is cached with it: a repeated degraded run is a cache hit that
+   still reports the source (completeness and lineage), while a plain
+   run still fails instead of receiving the degraded bag. *)
+let test_evolved_skip_cached () =
+  let repo = Repository.create () in
+  let wf = start_workflow repo in
+  let _ = ok (Evolution.evolve_drop_source wf "B") in
+  let proc = Workflow.processor wf in
+  let query = Parser.parse_exn "<<B:u>>" in
+  let mem = Telemetry.Memory.create () in
+  Telemetry.with_sink (Telemetry.Memory.sink mem) @@ fun () ->
+  let counter = Telemetry.Memory.counter mem in
+  let served_from_cache run =
+    let misses = counter "processor.extent.cache_misses" in
+    let hits = counter "processor.extent.cache_hits" in
+    let r = run () in
+    Alcotest.(check int) "no extent re-derived" misses
+      (counter "processor.extent.cache_misses");
+    Alcotest.(check bool) "cache hit" true
+      (counter "processor.extent.cache_hits" > hits);
+    r
+  in
+  let degraded () = okq (Processor.run_degraded proc ~schema:"g_v0" query) in
+  let v, c = degraded () in
+  let v', c' = served_from_cache degraded in
+  Alcotest.(check bool) "same answer" true (Value.equal v v');
+  List.iter
+    (fun (c : Processor.completeness) ->
+      Alcotest.(check (list string)) "evolved reported" [ "B" ] c.sources_evolved)
+    [ c; c' ];
+  let provenance () =
+    okq (Processor.run_degraded_provenance proc ~schema:"g_v0" query)
+  in
+  ignore (provenance ());
+  let ann, c = served_from_cache provenance in
+  Alcotest.(check (list string)) "evolved reported" [ "B" ] c.sources_evolved;
+  Alcotest.(check (list string))
+    "lineage evolved marker" [ "B" ]
+    (Lineage.skipped_evolved ann.Processor.lineage);
+  (* the retired source's own extent, cached by a degraded run, is
+     not served to a plain one *)
+  let direct = Parser.parse_exn "<<u>>" in
+  let _, c = okq (Processor.run_degraded proc ~schema:"B" direct) in
+  Alcotest.(check (list string)) "direct read reported" [ "B" ] c.sources_evolved;
+  Alcotest.(check bool) "plain run still fails" true
+    (contains ~sub:"evolved away" (errq (Processor.run proc ~schema:"B" direct)));
+  let _, c = served_from_cache degraded in
+  Alcotest.(check (list string)) "still reported" [ "B" ] c.sources_evolved
+
 (* -- evolve_alter ---------------------------------------------------------- *)
 
 let test_alter_add_column () =
@@ -625,6 +675,8 @@ let suite =
     Alcotest.test_case "drop source" `Quick test_drop_source;
     Alcotest.test_case "drop source: degraded accounting" `Quick
       test_drop_source_degraded_accounting;
+    Alcotest.test_case "drop source: evolved-away extents cached" `Quick
+      test_evolved_skip_cached;
     Alcotest.test_case "alter: add column" `Quick test_alter_add_column;
     Alcotest.test_case "alter: drop column" `Quick test_alter_drop_column;
     Alcotest.test_case "alter: rename column" `Quick test_alter_rename_column;

@@ -19,6 +19,7 @@ module Workflow = Automed_integration.Workflow
 module Sources = Automed_ispider.Sources
 module Queries = Automed_ispider.Queries
 module Intersection_run = Automed_ispider.Intersection_run
+module Churn = Automed_ispider.Churn
 module Resilience = Automed_resilience.Resilience
 module Vfs = Automed_durable.Vfs
 module Journal = Automed_durable.Journal
@@ -29,40 +30,6 @@ module Maintain = Automed_maintain.Maintain
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let save repo = Serialize.save ~extents:true repo
-
-(* the benches' deterministic 5-phase churn script, shrunk to test size *)
-let churn_delta i =
-  let k = string_of_int (i / 5) in
-  match i mod 5 with
-  | 0 ->
-      let name = "sat" ^ k in
-      let table = Scheme.table ("s" ^ k) in
-      let schema = ok (Schema.of_objects name [ (table, None) ]) in
-      let rows =
-        Value.Bag.of_list
-          [ Value.Str (name ^ "-r1"); Value.Str (name ^ "-r2") ]
-      in
-      Evolution.Add_source (schema, [ (table, rows) ])
-  | 1 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [ Repository.Alter_add_object (Scheme.table ("tmp" ^ k), None) ] )
-  | 2 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [
-            Repository.Alter_add_object
-              (Scheme.column ("tmp" ^ k) "note", None);
-          ] )
-  | 3 ->
-      Evolution.Alter
-        ( Sources.pedro_name,
-          [
-            Repository.Alter_drop_object (Scheme.column ("tmp" ^ k) "note");
-            Repository.Alter_rename_object
-              (Scheme.table ("tmp" ^ k), Scheme.table ("kept" ^ k));
-          ] )
-  | _ -> Evolution.Drop_source ("sat" ^ k)
 
 (* a fully wired dataspace: journaled, resilient, integrated.  Builds
    are deterministic, so two [build ()] results evolve identically. *)
@@ -76,7 +43,7 @@ let build () =
 
 let churn wf ~from ~until =
   for i = from to until - 1 do
-    ignore (ok (Evolution.evolve wf (churn_delta i)))
+    ignore (ok (Evolution.evolve wf (Churn.delta i)))
   done
 
 let seven wf =
@@ -275,7 +242,7 @@ let test_scheduler_hysteresis () =
   in
   let sched = Maintain.Scheduler.create ~policy () in
   for i = 0 to 11 do
-    ignore (ok (Evolution.evolve wf (churn_delta i)));
+    ignore (ok (Evolution.evolve wf (Churn.delta i)));
     ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
   done;
   let compacts =
@@ -321,7 +288,7 @@ let test_scheduler_rearms_per_indicator () =
   in
   let sched = Maintain.Scheduler.create ~policy () in
   for i = 0 to 11 do
-    ignore (ok (Evolution.evolve wf (churn_delta i)));
+    ignore (ok (Evolution.evolve wf (Churn.delta i)));
     ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
   done;
   let compacts =
@@ -355,7 +322,7 @@ let test_churn_steady_state () =
   let sched = Maintain.Scheduler.create () in
   let run ~from ~until =
     for i = from to until - 1 do
-      ignore (ok (Evolution.evolve wf (churn_delta i)));
+      ignore (ok (Evolution.evolve wf (Churn.delta i)));
       ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
     done;
     List.length (Repository.pathways_from repo Sources.pedro_name)
@@ -398,7 +365,7 @@ let test_scheduler_cooldown () =
     }
   in
   let sched = Maintain.Scheduler.create ~policy () in
-  ignore (ok (Evolution.evolve wf (churn_delta 0)));
+  ignore (ok (Evolution.evolve wf (Churn.delta 0)));
   for _ = 1 to 6 do
     ignore (ok (Maintain.Scheduler.tick ~durable ~resilience sched wf))
   done;

@@ -13,6 +13,12 @@ module Telemetry = Automed_telemetry.Telemetry
 module Microjson = Automed_telemetry.Microjson
 module Catalog = Automed_observe.Catalog
 module Health = Automed_observe.Health
+module Documents = Automed_observe.Documents
+module Processor = Automed_query.Processor
+module Workflow = Automed_integration.Workflow
+module Resilience = Automed_resilience.Resilience
+module Sources = Automed_ispider.Sources
+module Intersection_run = Automed_ispider.Intersection_run
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let q = Parser.parse_exn
@@ -45,7 +51,7 @@ let test_catalog_find () =
   Alcotest.(check bool) "unknown name" true (Catalog.find "no.such.metric" = None)
 
 let test_catalog_json () =
-  match Microjson.parse (Catalog.to_json ()) with
+  match Microjson.parse (Microjson.to_string (Catalog.to_json ())) with
   | Error e -> Alcotest.failf "catalog JSON does not parse: %s" e
   | Ok doc -> (
       match Microjson.member "metrics" doc with
@@ -169,7 +175,7 @@ let test_empty_repository_report () =
     (fun i -> Alcotest.check level (i.Health.i_name ^ " ok") Health.Good i.Health.i_level)
     r.Health.r_indicators;
   (* the JSON emitter produces a parseable document with every member *)
-  match Microjson.parse (Health.to_json r) with
+  match Microjson.parse (Microjson.to_string (Health.to_json r)) with
   | Error e -> Alcotest.failf "health JSON does not parse: %s" e
   | Ok doc ->
       List.iter
@@ -250,6 +256,88 @@ let test_void_degraded_steps () =
   Alcotest.(check bool) "degradation warn triggers re-integration" true
     r.Health.r_needs_reintegration
 
+(* -- the explain and status JSON documents -------------------------------- *)
+
+let members what expected v =
+  match v with
+  | Microjson.Obj ms ->
+      Alcotest.(check (list string)) (what ^ " members") expected (List.map fst ms)
+  | _ -> Alcotest.failf "%s is not an object" what
+
+let elements what v key =
+  match Microjson.member key v with
+  | Some (Microjson.Arr (_ :: _ as vs)) -> vs
+  | _ -> Alcotest.failf "%s: no %s" what key
+
+let test_document_shapes () =
+  let okp = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Fmt.str "%a" Processor.pp_error e)
+  in
+  let repo = Repository.create () in
+  let resilience = Resilience.create () in
+  ok (Sources.wrap_all ~resilience repo (Sources.generate ()));
+  let wf = (ok (Intersection_run.execute ~resilience repo)).workflow in
+  let proc = Workflow.processor wf and schema = Workflow.global_name wf in
+  let text = "count(<<UProtein>>)" in
+  let mem = Telemetry.Memory.create () in
+  let plan, (ann, c) =
+    Telemetry.with_sink (Telemetry.Memory.sink mem) (fun () ->
+        ( okp (Processor.explain_plan proc ~schema (q text)),
+          okp (Processor.run_degraded_provenance proc ~schema (q text)) ))
+  in
+  let doc = Documents.explain ~schema ~query:text plan ann (Some c) mem in
+  members "explain"
+    [ "schema"; "query"; "optimized"; "plan"; "tuples"; "completeness";
+      "stages"; "metrics" ]
+    doc;
+  let rec node n =
+    members "plan node"
+      [ "schema"; "object"; "stored"; "rows"; "cached"; "pathways" ]
+      n;
+    match Microjson.member "pathways" n with
+    | Some (Microjson.Arr ps) -> List.iter pathway ps
+    | _ -> Alcotest.fail "plan node without pathways"
+  and pathway p =
+    members "plan pathway" [ "from"; "steps"; "decision"; "reason"; "children" ] p;
+    match Microjson.member "children" p with
+    | Some (Microjson.Arr cs) -> List.iter node cs
+    | _ -> Alcotest.fail "pathway without children"
+  in
+  List.iter node (elements "explain" doc "plan");
+  List.iter
+    (members "tuple" [ "value"; "count"; "lineage"; "mac" ])
+    (elements "explain" doc "tuples");
+  Option.iter
+    (members "completeness" [ "complete"; "sources_ok"; "skipped" ])
+    (Microjson.member "completeness" doc);
+  List.iter
+    (members "stage" [ "id"; "parent"; "name"; "start_ms"; "dur_ms" ])
+    (elements "explain" doc "stages");
+  Option.iter
+    (members "metrics" [ "spans"; "counters"; "histograms" ])
+    (Microjson.member "metrics" doc);
+  Alcotest.(check bool) "printed explain reads back" true
+    (Microjson.parse (Microjson.to_string doc) = Ok doc);
+  let metrics = Telemetry.Metrics.of_memory mem in
+  let report = Health.assess ~resilience ~metrics wf in
+  let top = List.filteri (fun i _ -> i < 3) metrics.counters in
+  let doc = Documents.status report metrics ~top in
+  members "status"
+    [ "global"; "version"; "overall"; "needs_reintegration"; "indicators";
+      "counters"; "latency" ]
+    doc;
+  List.iter
+    (members "indicator"
+       [ "name"; "value"; "unit"; "warn"; "critical"; "level"; "detail" ])
+    (elements "status" doc "indicators");
+  (match Microjson.member "latency" doc with
+  | Some (Microjson.Obj (_ :: _ as ls)) ->
+      List.iter (fun (_, l) -> members "latency" [ "p50"; "p95"; "p99" ] l) ls
+  | _ -> Alcotest.fail "status: no latency");
+  Alcotest.(check bool) "printed status reads back" true
+    (Microjson.parse (Microjson.to_string doc) = Ok doc)
+
 let suite =
   [
     Alcotest.test_case "catalog sorted and unique" `Quick
@@ -269,6 +357,8 @@ let suite =
     Alcotest.test_case "empty repository report" `Quick
       test_empty_repository_report;
     Alcotest.test_case "report escalation" `Quick test_report_escalation;
+    Alcotest.test_case "explain and status JSON shapes" `Quick
+      test_document_shapes;
     Alcotest.test_case "quarantined pathways walker" `Quick
       test_quarantined_pathways;
     Alcotest.test_case "void-degraded steps walker" `Quick

@@ -157,7 +157,7 @@ let test_snapshot_deterministic () =
   let render mem =
     let m = Telemetry.Metrics.of_memory mem in
     (Telemetry.Metrics.to_text m, Telemetry.Metrics.to_tsv m,
-     Telemetry.Metrics.to_json m)
+     Microjson.to_string (Telemetry.Metrics.to_json m))
   in
   let t1, v1, j1 = render (record scenario) in
   let t2, v2, j2 = render (record scenario) in
@@ -382,7 +382,7 @@ let test_hostile_names_chrome_trace () =
 let test_hostile_names_metrics_json () =
   let mem = hostile_record () in
   let m = Telemetry.Metrics.of_memory mem in
-  match Microjson.parse (Telemetry.Metrics.to_json m) with
+  match Microjson.parse (Microjson.to_string (Telemetry.Metrics.to_json m)) with
   | Error e -> Alcotest.failf "metrics not JSON: %s" e
   | Ok doc -> (
       let counters =
